@@ -351,7 +351,7 @@ def _cmd_stats(args) -> int:
                 if value.rational is None:
                     dec_lo, dec_hi = value.decimal_enclosure(args.digits)
                     print(f"{name} in [{dec_lo}, {dec_hi}]")
-        print(f"code = {stats.interval_estimate(args.m, args.n, alpha)}")
+        print(f"code = {pair(stats.algebraic_code(lo), stats.algebraic_code(hi))}")
         return 0
     if op == "maxalpha":
         log = ObservationLog.from_jsonl(Path(args.log).read_text())

@@ -4,7 +4,10 @@ Root counting uses Sturm's theorem: build the signed remainder sequence of a
 squarefree polynomial, then the difference in sign variations at the endpoints
 counts the distinct real roots strictly between them.  Isolation bisects until
 each interval holds one root; refinement keeps bisecting the same bracket, so
-intervals produced for shrinking widths are nested.
+intervals produced for shrinking widths are nested.  ``descartes_sign`` is a
+cheaper test that runs first where many intervals hold no root: Descartes'
+rule of signs after a Moebius map, in integers, can show that an interval
+holds no root, but never counts or isolates roots.
 
 An algebraic number is carried either as an exact rational or as a squarefree
 integer polynomial together with an open rational interval that isolates one
@@ -171,6 +174,48 @@ def count_roots(p: Coeffs, lo: Fraction, hi: Fraction) -> int:
         raise EndpointRootError(f"root at an endpoint of ({lo}, {hi})")
     chain = sturm_chain(p)
     return _variations(chain, lo) - _variations(chain, hi)
+
+
+def _taylor_shift(cs: list[int], a: int) -> list[int]:
+    """Coefficients of ``p(x + a)`` from those of ``p(x)``, in integers."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        acc = cs[-1]
+        for j in range(len(cs) - 2, i - 1, -1):
+            acc = cs[j] = cs[j] + a * acc
+    return cs
+
+
+def descartes_sign(p: Coeffs, lo: Fraction, hi: Fraction) -> int | None:
+    """The sign (+1 or -1) of nonzero ``p`` throughout the open interval
+    ``(lo, hi)`` when Descartes' rule of signs shows that ``p`` has no root
+    there, else None.
+
+    The Moebius map ``x = (lo + hi*t)/(1 + t)`` takes ``t`` in (0, oo) onto
+    (lo, hi).  ``(1 + t)^d p(x)`` has at most as many positive roots as sign
+    variations in its coefficients (the first step of Collins & Akritas
+    1976); with none, every nonzero coefficient has the sign of ``p`` on the
+    interval.  None does not mean a root exists.  All arithmetic is on
+    integers.
+    """
+    if not p:
+        raise ValueError("the zero polynomial has no sign")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
+    d = degree(p)
+    cden = lcm(*(c.denominator for c in p))
+    den = lcm(lo.denominator, hi.denominator)
+    a, w = int(lo * den), int((hi - lo) * den)
+    # cden * den^d * p((a + w*y)/den) for y in (0, 1), then y = 1/(1 + t).
+    ints = [c.numerator * (cden // c.denominator) * den ** (d - k) for k, c in enumerate(p)]
+    shifted = _taylor_shift(ints, a)
+    scaled = [c * w**k for k, c in enumerate(shifted)]
+    mapped = [c for c in _taylor_shift(scaled[::-1], 1) if c]
+    if all(c > 0 for c in mapped):
+        return 1
+    if all(c < 0 for c in mapped):
+        return -1
+    return None
 
 
 def _interior_point(p: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:

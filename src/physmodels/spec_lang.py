@@ -457,6 +457,8 @@ def parse_real_fn(text: str) -> RealFn:
             outputs = [p.real_expr()]
     else:
         outputs = [p.real_expr()]
+    while p.accept("newline"):
+        pass
     p.expect("eof")
     if len(set(params)) != len(params):
         raise SpecError("duplicate parameter name")

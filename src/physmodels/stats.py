@@ -9,19 +9,24 @@ is constant, so the piece is a plain polynomial with rational coefficients,
 and the breakpoints carry their own exact values.
 
 ``bounds`` computes the exact greatest lower and least upper bound of the
-consistency set ``{b in [0,1] : tail_prob(m, n, b) >= alpha}`` by isolating
-the roots of ``piece - alpha`` per piece and collecting candidate endpoints;
-the endpoints come out as algebraic numbers (rational, or a squarefree
-integer polynomial with an isolating interval).  ``interval_estimate``
-serializes the two endpoints into a single nonnegative integer with a small
-versioned descriptor format, and ``decay_restriction`` builds the submodel
-of the decay model whose states pass the test, which turns rejection into
-range membership.
+consistency set ``{b in [0,1] : tail_prob(m, n, b) >= alpha}``.  Two scans
+walk the breakpoints and pieces outside-in, one from each end, and stop at
+the first member of the set; a piece is analysed only when a scan reaches
+it.  Descartes' rule of signs clears most pieces of roots of
+``piece - alpha`` in integer arithmetic, and such a piece is wholly in or
+out of the set by its sign; only the others are reduced to their squarefree
+part and isolated with Sturm sequences.  The endpoints come out as
+algebraic numbers (rational, or a squarefree integer polynomial with an
+isolating interval).  ``interval_estimate`` serializes the two endpoints
+into a single nonnegative integer with a small versioned descriptor format,
+and ``decay_restriction`` builds the submodel of the decay model whose
+states pass the test, which turns rejection into range membership.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from dataclasses import dataclass
 
@@ -44,10 +49,8 @@ from .exact_arith import (
     Coeffs,
     isolate_roots,
     poly,
-    poly_add,
     poly_divmod,
     poly_eval,
-    poly_mul,
     poly_sub,
     squarefree,
 )
@@ -70,20 +73,27 @@ def binom_pmf(i: int, b: Fraction, j: int) -> Fraction:
     return comb(i, j) * b**j * (1 - b) ** (i - j)
 
 
-def qualifying_outcomes(m: int, n: int, b: Fraction) -> list[int]:
-    """Outcomes at least as far from the mean ``m*b`` as ``n`` is."""
-    distance = abs(n - m * b)
-    return [k for k in range(m + 1) if abs(k - m * b) >= distance]
-
-
 def tail_prob(m: int, n: int, b: Fraction) -> Fraction:
-    """Exact two-tailed tail probability."""
+    """Exact two-tailed tail probability.
+
+    With ``b = p/q`` an outcome ``k`` qualifies when
+    ``|k*q - m*p| >= |n*q - m*p|``, and the sum is one integer numerator
+    ``sum comb(m, k) * p^k * (q - p)^(m - k)`` over ``q^m``.
+    """
     if n > m:
         raise ValueError(f"need n <= m, got n={n}, m={m}")
     b = Fraction(b)
-    return sum(
-        (binom_pmf(m, b, k) for k in qualifying_outcomes(m, n, b)), Fraction(0)
+    if not 0 <= b <= 1:
+        raise ValueError(f"ratio must be in [0, 1], got {b}")
+    p, q = b.numerator, b.denominator
+    mean = m * p
+    distance = abs(n * q - mean)
+    total = sum(
+        comb(m, k) * p**k * (q - p) ** (m - k)
+        for k in range(m + 1)
+        if abs(k * q - mean) >= distance
     )
+    return Fraction(total) / Fraction(q) ** m
 
 
 def reject(m: int, n: int, b: Fraction, alpha: Fraction) -> bool:
@@ -141,31 +151,27 @@ class PiecewisePoly:
         return out
 
 
-def _pmf_polynomial(m: int, k: int, one_minus_b_powers: list[Coeffs]) -> Coeffs:
-    # comb(m, k) * b^k * (1-b)^(m-k) as a polynomial in b
-    shifted = (Fraction(0),) * k + (Fraction(comb(m, k)),)
-    return poly_mul(shifted, one_minus_b_powers[m - k])
-
-
 def build_piecewise(m: int, n: int) -> PiecewisePoly:
     """Symbolic piecewise decomposition of the tail probability."""
     if m < 1:
         raise ValueError("the zero-trials case has no piecewise form")
     if n > m:
         raise ValueError(f"need n <= m, got n={n}, m={m}")
-    one_minus_b = poly(1, -1)
-    powers = [poly(1)]
-    for _ in range(m):
-        powers.append(poly_mul(powers[-1], one_minus_b))
-    pmf_polys = [_pmf_polynomial(m, k, powers) for k in range(m + 1)]
-
+    # rows[k][j]: coefficient of b^j in comb(m, k) * b^k * (1-b)^(m-k)
+    rows = [
+        [0] * k + [(-1) ** (j - k) * comb(m, k) * comb(m - k, j - k) for j in range(k, m + 1)]
+        for k in range(m + 1)
+    ]
     pieces = []
     for i in range(2 * m):
-        midpoint = Fraction(2 * i + 1, 4 * m)
-        piece: Coeffs = ()
-        for k in qualifying_outcomes(m, n, midpoint):
-            piece = poly_add(piece, pmf_polys[k])
-        pieces.append(piece)
+        # outcome k qualifies at the midpoint (2i+1)/(4m) iff
+        # |4k - (2i+1)| >= |4n - (2i+1)|
+        distance = abs(4 * n - (2 * i + 1))
+        qualifying = [rows[k] for k in range(m + 1) if abs(4 * k - (2 * i + 1)) >= distance]
+        coeffs = [sum(column) for column in zip(*qualifying)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        pieces.append(tuple(Fraction(c) for c in coeffs))
     values = tuple(tail_prob(m, n, Fraction(i, 2 * m)) for i in range(2 * m + 1))
     return PiecewisePoly(m, n, tuple(pieces), values)
 
@@ -196,6 +202,10 @@ def _piece_candidates(
     if not g:
         # identically alpha: the whole open piece is in the set
         return ("full", [], True, True)
+    sign = exact_arith.descartes_sign(g, lo, hi)
+    if sign is not None:
+        # no root inside: the piece is wholly in the set or wholly out of it
+        return ("mixed", [], True, True) if sign > 0 else None
     reduced = squarefree(g)
     for endpoint in (lo, hi):
         if poly_eval(reduced, endpoint) == 0:
@@ -226,10 +236,12 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
     if m == 0:
         return AlgebraicNumber.from_rational(0), AlgebraicNumber.from_rational(1)
     pw = build_piecewise(m, n)
-    analyses = [
-        _piece_candidates(pw.pieces[i], alpha, pw.breakpoint(i), pw.breakpoint(i + 1))
-        for i in range(2 * m)
-    ]
+
+    # Each scan analyses pieces only until it stops, so pieces inside the
+    # set are never analysed; both scans may stop on the same piece.
+    @cache
+    def analysis(i: int):
+        return _piece_candidates(pw.pieces[i], alpha, pw.breakpoint(i), pw.breakpoint(i + 1))
 
     def breakpoint_member(i: int) -> bool:
         return pw.breakpoint_values[i] >= alpha
@@ -239,8 +251,8 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
         if breakpoint_member(i):
             glb = AlgebraicNumber.from_rational(pw.breakpoint(i))
             break
-        if i < 2 * m and analyses[i] is not None:
-            _, members, touches_left, _ = analyses[i]
+        if i < 2 * m and analysis(i) is not None:
+            _, members, touches_left, _ = analysis(i)
             if touches_left:
                 glb = AlgebraicNumber.from_rational(pw.breakpoint(i))
             else:
@@ -252,8 +264,8 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
         if breakpoint_member(i):
             lub = AlgebraicNumber.from_rational(pw.breakpoint(i))
             break
-        if i > 0 and analyses[i - 1] is not None:
-            _, members, _, touches_right = analyses[i - 1]
+        if i > 0 and analysis(i - 1) is not None:
+            _, members, _, touches_right = analysis(i - 1)
             if touches_right:
                 lub = AlgebraicNumber.from_rational(pw.breakpoint(i))
             else:
@@ -351,9 +363,6 @@ def decay_restriction(alpha: Fraction, b: Fraction) -> Model:
         raise ValueError(f"ratio must be in [0, 1], got {b}")
     base = model_core.builtin("decay", b=b)
     return restrict(base, "f", consistency_set(alpha, b), Budget(1024))
-
-
-UNRESTRICTED = None
 
 
 def max_alpha(log: ObservationLog, b: Fraction) -> Fraction | None:

@@ -193,6 +193,17 @@ def test_range_enumerate_and_probe(capsys):
     assert "excluded at depth 2" in out and "(3/4;5/4) x (7/4;9/4)" in out
 
 
+def test_range_enumerate_machine_file_with_trailing_newlines(tmp_path, capsys):
+    args = ["--height", "1", "--den", "2", "--refine", "1", "--chain", "2"]
+    code, inline, _ = run(capsys, "range", "enumerate", "--machine", "map(x) = x * x", *args)
+    assert code == 0 and inline
+    for text in ("map(x) = x * x\n", "map(x) = x * x\n\n# squaring\n"):
+        path = tmp_path / "square.machine"
+        path.write_text(text)
+        code, out, err = run(capsys, "range", "enumerate", "--machine", str(path), *args)
+        assert (code, out, err) == (0, inline, "")
+
+
 def test_stats_commands(capsys):
     code, out, _ = run(capsys, "stats", "pmf", "3", "1/3", "2")
     assert code == 0 and out == "2/9\n"

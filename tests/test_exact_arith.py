@@ -13,10 +13,12 @@ from physmodels.exact_arith import (
     count_roots,
     degree,
     derivative,
+    descartes_sign,
     integer_primitive,
     isolate_roots,
     poly,
     poly_eval,
+    poly_divmod,
     poly_gcd,
     poly_mul,
     refine_root,
@@ -207,3 +209,41 @@ def test_sturm_chain_endpoints():
 def test_from_root_rejects_bad_intervals():
     with pytest.raises(ValueError):
         AlgebraicNumber.from_root(X2_MINUS_2, Interval(Fraction(-2), Fraction(2)))
+
+
+def test_descartes_sign_anchors():
+    F = Fraction
+    q = poly_mul(poly(-1, 3), poly(-2, 3))  # roots 1/3 and 2/3
+    assert descartes_sign(q, F(0), F(1)) is None
+    assert descartes_sign(q, F(2, 5), F(3, 5)) == -1
+    assert descartes_sign(q, F(1, 3), F(2, 3)) == -1  # endpoint roots lie outside
+    assert descartes_sign(q, F(-5), F(1, 3)) == 1
+    assert descartes_sign(poly(F(-7, 3)), F(0), F(1)) == -1
+    # (x - 1/2)^2 + 1/100 has no real root, yet the rule cannot show it on
+    # (0, 1); on (0, 1/2) it can.  None does not mean a root exists.
+    r = poly(F(26, 100), -1, 1)
+    assert descartes_sign(r, F(0), F(1)) is None
+    assert descartes_sign(r, F(0), F(1, 2)) == 1
+    with pytest.raises(ValueError):
+        descartes_sign((), F(0), F(1))
+    with pytest.raises(ValueError):
+        descartes_sign(q, F(1), F(1))
+
+
+def test_descartes_sign_agrees_with_sturm():
+    rng = random.Random(31)
+    for _ in range(300):
+        p = poly(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))))
+        if not p:
+            continue
+        lo = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        hi = lo + Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        sign = descartes_sign(p, lo, hi)
+        if sign is None:
+            continue
+        reduced = squarefree(p)
+        for x in (lo, hi):
+            if poly_eval(reduced, x) == 0:
+                reduced = poly_divmod(reduced, poly(-x, 1))[0]
+        assert degree(reduced) < 1 or count_roots(reduced, lo, hi) == 0
+        assert (poly_eval(p, (lo + hi) / 2) > 0) == (sign > 0)

@@ -4,9 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from physmodels import stats
 from physmodels.encodings import pair
-from physmodels.exact_arith import poly
+from physmodels.exact_arith import (
+    AlgebraicNumber,
+    count_roots,
+    degree,
+    descartes_sign,
+    isolate_roots,
+    poly,
+    poly_divmod,
+    poly_eval,
+    poly_sub,
+    squarefree,
+)
 from physmodels.model_core import Budget, ObservationLog, enumerate_range
 from physmodels.stats import (
     algebraic_code,
@@ -24,6 +38,7 @@ from physmodels.stats import (
 )
 
 F = Fraction
+ALPHAS = (F(1, 20), F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(19, 20))
 
 
 def test_pmf_anchors():
@@ -230,3 +245,136 @@ def test_max_alpha():
     assert max_alpha(ObservationLog.from_pairs([]), F(1, 2)) is None
     with pytest.raises(ValueError):
         max_alpha(ObservationLog.from_pairs([("f", pair(2, 3))]), F(1, 2))
+
+
+@given(
+    st.integers(min_value=0, max_value=30).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(min_value=0, max_value=m))
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+def test_tail_prob_equals_pmf_sum(mn, b):
+    m, n = mn
+    qualifying = [k for k in range(m + 1) if abs(k - m * b) >= abs(n - m * b)]
+    assert tail_prob(m, n, b) == sum((binom_pmf(m, b, k) for k in qualifying), F(0))
+
+
+# The eager algorithm: every piece is reduced to its squarefree part and
+# isolated with Sturm sequences before either scan starts.  It is the
+# reference for ``bounds``, which analyses pieces only as its scans reach them
+# and excludes root-free pieces by Descartes' rule of signs first.
+
+
+def _remove_root(p, x):
+    quotient, remainder = poly_divmod(p, poly(-x, 1))
+    assert not remainder
+    return quotient
+
+
+def _reduced_piece(g, lo, hi):
+    """Squarefree part of ``g`` with any root at ``lo`` or ``hi`` divided out."""
+    reduced = squarefree(g)
+    for endpoint in (lo, hi):
+        if poly_eval(reduced, endpoint) == 0:
+            reduced = _remove_root(reduced, endpoint)
+    return reduced
+
+
+def _eager_piece(g, lo, hi):
+    if not g:
+        return ("full", [], True, True)
+    reduced = _reduced_piece(g, lo, hi)
+    roots = isolate_roots(reduced, lo, hi) if degree(reduced) >= 1 else []
+    members = [AlgebraicNumber.from_root(reduced, iv) for iv in roots]
+    samples = [roots[0].lo if roots else (lo + hi) / 2]
+    samples += [iv.hi for iv in roots]
+    signs = [poly_eval(g, x) > 0 for x in samples]
+    if not members and not any(signs):
+        return None
+    return ("mixed", members, signs[0], signs[-1])
+
+
+def _eager_bounds(analyses, pw, alpha):
+    m = pw.m
+    member = [v >= alpha for v in pw.breakpoint_values]
+    glb = lub = None
+    for i in range(2 * m + 1):
+        if member[i]:
+            glb = AlgebraicNumber.from_rational(pw.breakpoint(i))
+            break
+        if i < 2 * m and analyses[i] is not None:
+            _, members, touches_left, _ = analyses[i]
+            glb = AlgebraicNumber.from_rational(pw.breakpoint(i)) if touches_left else members[0]
+            break
+    for i in range(2 * m, -1, -1):
+        if member[i]:
+            lub = AlgebraicNumber.from_rational(pw.breakpoint(i))
+            break
+        if i > 0 and analyses[i - 1] is not None:
+            _, members, _, touches_right = analyses[i - 1]
+            lub = AlgebraicNumber.from_rational(pw.breakpoint(i)) if touches_right else members[-1]
+            break
+    return glb, lub
+
+
+def test_bounds_equal_eager_sturm_reference():
+    """``bounds`` returns the eager algorithm's endpoints, and Descartes' rule
+    never excludes a piece in which Sturm isolation finds a root."""
+    for m in range(1, 13):
+        for n in range(m + 1):
+            pw = build_piecewise(m, n)
+            for alpha in ALPHAS:
+                analyses = []
+                for i in range(2 * m):
+                    lo, hi = pw.breakpoint(i), pw.breakpoint(i + 1)
+                    g = poly_sub(pw.pieces[i], (alpha,))
+                    analysis = _eager_piece(g, lo, hi)
+                    sign = descartes_sign(g, lo, hi) if g else None
+                    if sign is not None:
+                        assert analysis in (None, ("mixed", [], True, True)), (m, n, alpha, i)
+                        assert (sign > 0) == (analysis is not None), (m, n, alpha, i)
+                    analyses.append(analysis)
+                got = bounds(m, n, alpha)
+                want = _eager_bounds(analyses, pw, alpha)
+                assert got == want, (m, n, alpha)
+                assert [algebraic_code(a) for a in got] == [algebraic_code(a) for a in want]
+
+
+def test_piece_root_counts_against_sympy():
+    """Sturm counts of distinct roots per piece match sympy's, and Descartes'
+    rule excludes only pieces where both find none."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m, n in ((4, 1), (7, 3), (9, 0), (10, 4), (12, 5)):
+        pw = build_piecewise(m, n)
+        for alpha in ALPHAS:
+            for i in range(2 * m):
+                lo, hi = pw.breakpoint(i), pw.breakpoint(i + 1)
+                g = poly_sub(pw.pieces[i], (alpha,))
+                reduced = _reduced_piece(g, lo, hi)
+                count = count_roots(reduced, lo, hi) if degree(reduced) >= 1 else 0
+                sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g)], x)
+                lo_s = sympy.Rational(lo.numerator, lo.denominator)
+                hi_s = sympy.Rational(hi.numerator, hi.denominator)
+                # sympy counts distinct roots in the closed interval
+                expected = sp.count_roots(lo_s, hi_s) - (sp.eval(lo_s) == 0) - (sp.eval(hi_s) == 0)
+                assert count == expected, (m, n, alpha, i)
+                assert descartes_sign(g, lo, hi) is None or expected == 0, (m, n, alpha, i)
+
+
+def test_bounds_run_sturm_on_few_pieces(monkeypatch):
+    """Only pieces Descartes' rule cannot clear reach ``squarefree``: at most
+    two per call over the whole grid (measured: max 2, mean under 0.5)."""
+    calls = []
+
+    def counting_squarefree(p):
+        calls.append(p)
+        return squarefree(p)
+
+    monkeypatch.setattr(stats, "squarefree", counting_squarefree)
+    for m in range(1, 25):
+        for n in range(m + 1):
+            for alpha in ALPHAS:
+                calls.clear()
+                bounds(m, n, alpha)
+                assert len(calls) <= 2, (m, n, alpha)
