@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import encodings, exact_arith, model_core, neighborhoods, spec_lang, stats
+from . import encodings, model_core, neighborhoods, spec_lang, stats
 from .encodings import (
     format_rect,
     interval_code,
@@ -108,13 +108,6 @@ def format_poly(coeffs, var: str = "b") -> str:
     return out
 
 
-def _describe_algebraic(name: str, value: exact_arith.AlgebraicNumber) -> str:
-    if value.rational is not None:
-        return f"{name} = {value.rational} (exact)"
-    coeffs = ", ".join(str(int(c)) for c in value.polynomial)
-    return f"{name} = root of [{coeffs}] in {value.isolating}"
-
-
 # ---------------------------------------------------------------------------
 # encode / decode
 
@@ -162,8 +155,8 @@ def _cmd_decode(args) -> int:
         print(f"{a} {k}")
     elif kind == "estimate":
         lo, hi = stats.interval_estimate_decode(code)
-        print(_describe_algebraic("r", lo))
-        print(_describe_algebraic("s", hi))
+        print(f"r = {lo}")
+        print(f"s = {hi}")
     else:
         raise UsageError(f"unknown codec {kind!r}")
     return 0
@@ -343,8 +336,8 @@ def _cmd_stats(args) -> int:
     if op == "estimate":
         alpha = parse_rational(args.alpha)
         lo, hi = stats.bounds(args.m, args.n, alpha)
-        print(_describe_algebraic("r", lo))
-        print(_describe_algebraic("s", hi))
+        print(f"r = {lo}")
+        print(f"s = {hi}")
         if args.digits:
             # rational endpoints are already printed exactly
             for name, value in (("r", lo), ("s", hi)):

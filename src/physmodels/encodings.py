@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class DecodeError(ValueError):
@@ -246,19 +246,6 @@ def dyadic_shrink(point: Sequence[Fraction], index: int) -> Rect:
     """
     h = Fraction(1, 2**index) if index > 0 else Fraction(1)
     return tuple(Interval(x - h, x + h) for x in point)
-
-
-def enumerate_rationals(num_bound: int, den_bound: int) -> Iterator[Fraction]:
-    """All rationals with ``|numerator| <= num_bound`` and denominator
-    ``<= den_bound``, in ascending order."""
-    seen = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, den_bound + 1)
-            for p in range(-num_bound, num_bound + 1)
-        }
-    )
-    return iter(seen)
 
 
 def _check_nonneg(n: int) -> None:

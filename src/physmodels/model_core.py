@@ -7,11 +7,16 @@ spaces are only enumerable, every question about a model is answered relative
 to a :class:`Budget` that caps how many enumerator indices are visited and how
 many evaluation steps each map may take.
 
+:func:`range_table` is the one enumeration primitive: it maps the budgeted
+states through an observable and keeps the first witness state of each
+value.  Ranges, faithfulness verdicts, strength comparison and the worldline
+chain replay are all read off such tables.
+
 Faithfulness checking is three-valued.  A log record is ``witnessed`` when
 some enumerated state maps to the recorded result, ``refuted`` only when the
-observable carries a decidable range predicate that rejects the result, and
-``unknown`` otherwise; membership in an enumerable range is semidecidable, so
-"not found yet" is never evidence of absence.
+observable carries a range decider (a plain total predicate on results) that
+rejects the result, and ``unknown`` otherwise; membership in an enumerable
+range is semidecidable, so "not found yet" is never evidence of absence.
 
 The model algebra follows the usual structure operations: ``reduct`` keeps a
 subset of observables, ``restrict`` filters a one-observable model through a
@@ -113,14 +118,6 @@ class ExprMap:
     def evaluate(self, state: int, steps: StepCounter) -> int:
         return eval_int(self.body, {self.var: state} if self.var else {}, steps)
 
-    @classmethod
-    def parse(cls, text: str) -> "ExprMap":
-        body = parse_int_expr(text)
-        names = spec_lang.int_free_vars(body)
-        if len(names) > 1:
-            raise EvalError(f"map must have one variable, found {sorted(names)}")
-        return cls(names.pop() if names else "", body)
-
 
 @dataclass(frozen=True)
 class FnMap:
@@ -152,53 +149,23 @@ def as_map(spec: "ObservableMap | IntExpr | str | Callable[[int], int]") -> Obse
     if isinstance(spec, (ExprMap, FnMap, ComposedMap)):
         return spec
     if isinstance(spec, str):
-        return ExprMap.parse(spec)
-    if callable(spec):
+        spec = parse_int_expr(spec)
+    elif callable(spec):
         return FnMap(spec)
-    # bare expression AST; bind its single free variable
-    names = spec_lang.int_free_vars(spec)
+    return ExprMap(_sole_var(spec, "map"), spec)
+
+
+def _sole_var(node: IntExpr | Pred, what: str) -> str:
+    """The one free variable of ``node`` ("" when closed)."""
+    names = spec_lang.int_free_vars(node)
     if len(names) > 1:
-        raise EvalError(f"map must have one variable, found {sorted(names)}")
-    return ExprMap(names.pop() if names else "", spec)
+        raise EvalError(f"{what} must have one variable, found {sorted(names)}")
+    return names.pop() if names else ""
 
 
-def apply_map(m: ObservableMap, state: int, max_steps: int) -> int:
-    return m.evaluate(state, StepCounter(max_steps))
-
-
-# ---------------------------------------------------------------------------
-# Range predicates (decidable characterizations)
-
-
-@dataclass(frozen=True)
-class RangePredicate:
-    """Total decidable predicate on results, used for definite refutation."""
-
-    var: str
-    pred: Pred | None = None
-    fn: Callable[[int], bool] | None = None
-    label: str = ""
-
-    def __call__(self, n: int) -> bool:
-        if self.pred is not None:
-            return eval_pred(self.pred, {self.var: n} if self.var else {}, StepCounter(DEFAULT_OP_STEPS))
-        assert self.fn is not None
-        return self.fn(n)
-
-    @classmethod
-    def parse(cls, text: str) -> "RangePredicate":
-        pred = spec_lang.parse_pred(text)
-        names = spec_lang.int_free_vars(pred)
-        if len(names) > 1:
-            raise EvalError("range predicate must have one variable")
-        return cls(names.pop() if names else "", pred=pred, label=text)
-
-    def conjoin(self, other: "RangePredicate") -> "RangePredicate":
-        return RangePredicate(
-            var="",
-            fn=lambda n: self(n) and other(n),
-            label=f"({self.label}) and ({other.label})",
-        )
+def _pred_decider(var: str, pred: Pred) -> Callable[[int], bool]:
+    """Total decider for a one-variable predicate; each call gets fresh steps."""
+    return lambda n: eval_pred(pred, {var: n} if var else {}, StepCounter(DEFAULT_OP_STEPS))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +195,9 @@ class SemiDecidableSet:
         self._drawn = 0
 
     @classmethod
-    def from_predicate(cls, fn: Callable[[int], bool], description: str = "") -> "SemiDecidableSet":
-        return cls(decide=fn, description=description)
-
-    @classmethod
     def from_pred_text(cls, text: str) -> "SemiDecidableSet":
-        pred = RangePredicate.parse(text)
-        return cls(decide=pred, description=text)
-
-    @classmethod
-    def from_enumerator(cls, fn: Callable[[int], int], description: str = "") -> "SemiDecidableSet":
-        return cls(enumerator=fn, description=description)
+        pred = spec_lang.parse_pred(text)
+        return cls(decide=_pred_decider(_sole_var(pred, "range predicate"), pred), description=text)
 
     def verify(self, n: int, effort: int) -> bool | None:
         if self.decide is not None:
@@ -316,7 +275,7 @@ class FilteredStates:
                 yield i
 
     def membership(self, n: int) -> bool | None:
-        return eval_pred(self.pred, {self.var: n} if self.var else {}, StepCounter(DEFAULT_OP_STEPS))
+        return _pred_decider(self.var, self.pred)(n)
 
 
 @dataclass(frozen=True)
@@ -351,7 +310,7 @@ class RestrictedStates:
         for s in self.parent.enumerate(budget):
             try:
                 value = self.value_map.evaluate(s, StepCounter(budget.max_steps))
-            except (StepLimitExceeded, EvalError):
+            except StepLimitExceeded:
                 continue  # deferred: re-enters at a higher step budget
             if self.q.verify(value, max(budget.max_states, 1)) is True:
                 yield s
@@ -379,7 +338,7 @@ class MeasuringOperation:
 class Observable:
     symbol: str
     map: ObservableMap
-    range_decider: RangePredicate | None = None
+    range_decider: Callable[[int], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -451,13 +410,19 @@ class ObservationLog:
 # Range enumeration and faithfulness
 
 
+def range_table(model: Model, symbol: str, budget: Budget) -> dict[int, int]:
+    """Each observable value over the first ``budget.max_states`` enumerated
+    states, mapped to the first state that produced it."""
+    obs = model.observable(symbol)
+    table: dict[int, int] = {}
+    for state in model.states.enumerate(budget):
+        table.setdefault(_apply_observable(obs, state, budget), state)
+    return table
+
+
 def enumerate_range(model: Model, symbol: str, budget: Budget) -> set[int]:
     """Observable values over the first ``budget.max_states`` enumerated states."""
-    obs = model.observable(symbol)
-    out: set[int] = set()
-    for state in model.states.enumerate(budget):
-        out.add(_apply_observable(obs, state, budget))
-    return out
+    return set(range_table(model, symbol, budget))
 
 
 def _apply_observable(obs: Observable, state: int, budget: Budget) -> int:
@@ -487,22 +452,19 @@ class RecordVerdict:
 
 def check_faithful(model: Model, log: ObservationLog, budget: Budget) -> list[RecordVerdict]:
     """Three-valued, per-record faithfulness verdicts at the given budget."""
-    needed = log.symbols()
-    witnesses: dict[str, dict[int, int]] = {}
-    for sym in needed:
-        obs = model.observable(sym)  # raises on unknown symbols
-        table: dict[int, int] = {}
-        for state in model.states.enumerate(budget):
-            value = _apply_observable(obs, state, budget)
-            table.setdefault(value, state)
-        witnesses[sym] = table
+    tables = {sym: range_table(model, sym, budget) for sym in log.symbols()}
+    return _verdicts(model, log, tables)
 
+
+def _verdicts(
+    model: Model, log: ObservationLog, tables: Mapping[str, Mapping[int, int]]
+) -> list[RecordVerdict]:
     verdicts = []
     for sym, result in log.records:
-        obs = model.observable(sym)
-        if result in witnesses[sym]:
-            verdicts.append(RecordVerdict(sym, result, WITNESSED, witnesses[sym][result]))
-        elif obs.range_decider is not None and not obs.range_decider(result):
+        decider = model.observable(sym).range_decider
+        if result in tables[sym]:
+            verdicts.append(RecordVerdict(sym, result, WITNESSED, tables[sym][result]))
+        elif decider is not None and not decider(result):
             verdicts.append(RecordVerdict(sym, result, REFUTED))
         else:
             verdicts.append(RecordVerdict(sym, result, UNKNOWN))
@@ -534,13 +496,13 @@ class MaximalFaithfulnessReport:
 def check_maximally_faithful(
     model: Model, log: ObservationLog, budget: Budget
 ) -> MaximalFaithfulnessReport:
-    verdicts = check_faithful(model, log, budget)
-    unobserved: dict[str, list[int]] = {}
-    for sym in model.symbols:
-        observed = set(log.results_for(sym))
-        allowed = enumerate_range(model, sym, budget)
-        unobserved[sym] = sorted(allowed - observed)
-    return MaximalFaithfulnessReport(verdicts, unobserved)
+    for sym in log.symbols():
+        model.observable(sym)  # raises on unknown symbols before enumerating
+    tables = {sym: range_table(model, sym, budget) for sym in model.symbols}
+    unobserved = {
+        sym: sorted(set(tables[sym]) - set(log.results_for(sym))) for sym in model.symbols
+    }
+    return MaximalFaithfulnessReport(_verdicts(model, log, tables), unobserved)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +540,10 @@ def restrict(model: Model, symbol: str, q: SemiDecidableSet, budget: Budget) -> 
         raise ValueError("restriction is defined for one-observable models only")
     obs = model.observables[0]
     new_states = RestrictedStates(model.states, obs.map, q)
-    decider = obs.range_decider
-    if q.decide is not None:
-        q_pred = RangePredicate(var="", fn=q.decide, label=q.description or "q")
-        decider = decider.conjoin(q_pred) if decider is not None else q_pred
+    base_decide, q_decide = obs.range_decider, q.decide
+    decider = base_decide or q_decide
+    if base_decide is not None and q_decide is not None:
+        decider = lambda n: base_decide(n) and q_decide(n)
     new_obs = Observable(symbol, obs.map, decider)
     ops = dict(model.measuring_ops)
     if symbol in ops:
@@ -909,10 +871,7 @@ def model_from_spec(spec: ModelSpec | str) -> Model:
     ranges = {sym: (var, pred) for sym, var, pred in spec.ranges}
     observables = []
     for sym, var, body in spec.observables:
-        decider = None
-        if sym in ranges:
-            rvar, pred = ranges[sym]
-            decider = RangePredicate(rvar, pred=pred, label=spec_lang.format_pred(pred))
+        decider = _pred_decider(*ranges[sym]) if sym in ranges else None
         observables.append(Observable(sym, ExprMap(var, body), decider))
     ops = {}
     for sym, op_name in spec.simops:
@@ -930,8 +889,8 @@ def model_from_spec(spec: ModelSpec | str) -> Model:
 
 def time_slice_set(u: int) -> SemiDecidableSet:
     """Results whose first pair component equals ``u``."""
-    return SemiDecidableSet.from_predicate(
-        lambda n, u=u: encodings.first(n) == u, f"K(n) == {u}"
+    return SemiDecidableSet(
+        decide=lambda n, u=u: encodings.first(n) == u, description=f"K(n) == {u}"
     )
 
 
@@ -968,24 +927,10 @@ def builtin(name: str, **params) -> Model:
             annotations=annotations,
             name=model.name,
         )
-    if name in ("chain_Bu", "chain_Cu", "chain_Du", "chain_Eu"):
+    if name in _CHAIN_BUILTINS:
         u = int(params["u"])
         budget = params.get("budget", Budget(max(4 * (u + 1), 64)))
-        stage = restrict(builtin("cannon"), "f", time_slice_set(u), budget)
-        if name == "chain_Bu":
-            return stage
-        stage = derive(stage, "f", parse_int_expr("L(x)"), f"g{u}")
-        if name == "chain_Cu":
-            return stage
-        stage = reduct(stage, [f"g{u}"])
-        if name == "chain_Du":
-            return stage
-        return apply_isomorphism(
-            stage,
-            forward=parse_int_expr(f"s - {u}"),
-            backward=parse_int_expr(f"t + {u}"),
-            states=FiniteStates((0,)),
-        )
+        return _chain_stages(builtin("cannon"), u, budget)[_CHAIN_BUILTINS.index(name)][1]
     if name == "chain_F":
         u_max = int(params.get("u_max", 20))
         parts = [builtin("chain_Eu", u=u, **{k: v for k, v in params.items() if k == "budget"})
@@ -996,6 +941,30 @@ def builtin(name: str, **params) -> Model:
 
 # ---------------------------------------------------------------------------
 # Worldline chain replay
+
+_CHAIN_BUILTINS = ("chain_Bu", "chain_Cu", "chain_Du", "chain_Eu")
+
+
+def _chain_stages(cannon: Model, u: int, budget: Budget) -> list[tuple[str, Model, str]]:
+    """(stage name, model, symbol) for time slice ``u``: restriction to first
+    component ``u``, derivation of the distance, reduct to it, and renaming
+    the single state to 0."""
+    g = f"g{u}"
+    b_u = restrict(cannon, "f", time_slice_set(u), budget)
+    c_u = derive(b_u, "f", parse_int_expr("L(x)"), g)
+    d_u = reduct(c_u, [g])
+    e_u = apply_isomorphism(
+        d_u,
+        forward=parse_int_expr(f"s - {u}"),
+        backward=parse_int_expr(f"t + {u}"),
+        states=FiniteStates((0,)),
+    )
+    return [
+        (f"restriction u={u}", b_u, "f"),
+        (f"derivation u={u}", c_u, g),
+        (f"reduct u={u}", d_u, g),
+        (f"isomorph u={u}", e_u, g),
+    ]
 
 
 @dataclass(frozen=True)
@@ -1051,21 +1020,10 @@ def replay_worldline_chain(
         )
 
     for u in u_values:
-        b_u = restrict(cannon, "f", time_slice_set(u), budget)
-        run_stage(f"restriction u={u}", b_u, "f")
-        g = f"g{u}"
-        c_u = derive(b_u, "f", parse_int_expr("L(x)"), g)
-        run_stage(f"derivation u={u}", c_u, g)
-        d_u = reduct(c_u, [g])
-        run_stage(f"reduct u={u}", d_u, g)
-        e_u = apply_isomorphism(
-            d_u,
-            forward=parse_int_expr(f"s - {u}"),
-            backward=parse_int_expr(f"t + {u}"),
-            states=FiniteStates((0,)),
-        )
-        run_stage(f"isomorph u={u}", e_u, g)
-        parts.append(e_u)
+        chain = _chain_stages(cannon, u, budget)
+        for stage_name, model, symbol in chain:
+            run_stage(stage_name, model, symbol)
+        parts.append(chain[-1][1])
 
     merged = merge_expansions(parts)
     for u in u_values:

@@ -45,7 +45,7 @@ from .encodings import (
     sing_decode,
     unpair,
 )
-from .model_core import AllStates, Budget, FnMap, Model, Observable, RangePredicate
+from .model_core import AllStates, Budget, FnMap, Model, Observable
 from .spec_lang import RealFn, RBin, RLit, RVar, eval_closed_box, parse_real_fn, widen_to_open
 
 
@@ -522,7 +522,7 @@ def ideal_gas_map() -> RealFn:
 
 
 def _indexed_model(name: str, value_at: Callable[[int], int],
-                   decider: RangePredicate | None = None) -> Model:
+                   decider: Callable[[int], bool] | None = None) -> Model:
     """Normalized presentation: states are all naturals, mapped by index."""
     return Model(
         states=AllStates(),
@@ -544,7 +544,7 @@ def graph_model(grange: GraphRange, name: str = "graph") -> Model:
     return _indexed_model(
         name,
         lambda i: codes[i % len(codes)],
-        RangePredicate(var="", fn=lambda n: n in grange.codes, label=f"{name} range"),
+        lambda n: n in grange.codes,
     )
 
 
@@ -553,7 +553,7 @@ def molecule_sing_model(n: int) -> Model:
     return _indexed_model(
         f"molecules={n}",
         lambda i, n=n: sing_code(n),
-        RangePredicate(var="", fn=lambda code: code == n, label=f"== {n}"),
+        lambda code: code == n,
     )
 
 
@@ -579,7 +579,7 @@ def molecule_seg_model(n: int) -> Model:
     return _indexed_model(
         f"molecules~{n}",
         value_at,
-        RangePredicate(var="", fn=contains, label=f"segment contains {n}"),
+        contains,
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import encodings
 from .encodings import Interval, Rect
@@ -848,21 +848,3 @@ def eval_closed_box(fn: RealFn, box: Sequence[Interval]) -> tuple[Bounds, ...]:
         raise EvalError(f"expected {fn.arity} input intervals, got {len(box)}")
     env = {name: (iv.lo, iv.hi) for name, iv in zip(fn.params, box)}
     return tuple(eval_real_bounds(out, env) for out in fn.outputs)
-
-
-def iterate_states(spec: ModelSpec, max_index: int, steps_per_state: int) -> Iterator[int]:
-    """Budgeted state stream for a parsed model.
-
-    ``enumerate`` specs map each index through the state expression;
-    ``where`` specs scan the naturals and keep the accepted ones.  At most
-    ``max_index`` indices are visited either way.
-    """
-    var = spec.state_var
-    for i in range(max_index):
-        counter = StepCounter(steps_per_state)
-        env = {var: i} if var else {}
-        if spec.state_kind == "enumerate":
-            yield eval_int(spec.state_expr, env, counter)  # type: ignore[arg-type]
-        else:
-            if eval_pred(spec.state_expr, env, counter):  # type: ignore[arg-type]
-                yield i

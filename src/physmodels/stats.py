@@ -73,6 +73,11 @@ def binom_pmf(i: int, b: Fraction, j: int) -> Fraction:
     return comb(i, j) * b**j * (1 - b) ** (i - j)
 
 
+def _check_counts(m: int, n: int) -> None:
+    if not 0 <= n <= m:
+        raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
+
+
 def tail_prob(m: int, n: int, b: Fraction) -> Fraction:
     """Exact two-tailed tail probability.
 
@@ -80,8 +85,7 @@ def tail_prob(m: int, n: int, b: Fraction) -> Fraction:
     ``|k*q - m*p| >= |n*q - m*p|``, and the sum is one integer numerator
     ``sum comb(m, k) * p^k * (q - p)^(m - k)`` over ``q^m``.
     """
-    if n > m:
-        raise ValueError(f"need n <= m, got n={n}, m={m}")
+    _check_counts(m, n)
     b = Fraction(b)
     if not 0 <= b <= 1:
         raise ValueError(f"ratio must be in [0, 1], got {b}")
@@ -155,8 +159,7 @@ def build_piecewise(m: int, n: int) -> PiecewisePoly:
     """Symbolic piecewise decomposition of the tail probability."""
     if m < 1:
         raise ValueError("the zero-trials case has no piecewise form")
-    if n > m:
-        raise ValueError(f"need n <= m, got n={n}, m={m}")
+    _check_counts(m, n)
     # rows[k][j]: coefficient of b^j in comb(m, k) * b^k * (1-b)^(m-k)
     rows = [
         [0] * k + [(-1) ** (j - k) * comb(m, k) * comb(m - k, j - k) for j in range(k, m + 1)]
@@ -233,6 +236,7 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+    _check_counts(m, n)
     if m == 0:
         return AlgebraicNumber.from_rational(0), AlgebraicNumber.from_rational(1)
     pw = build_piecewise(m, n)
@@ -349,7 +353,7 @@ def consistency_set(alpha: Fraction, b: Fraction) -> SemiDecidableSet:
         m, n = unpair(code)
         return n <= m and tail_prob(m, n, b) >= alpha
 
-    return SemiDecidableSet.from_predicate(accepted, f"tail_prob >= {alpha} at b={b}")
+    return SemiDecidableSet(decide=accepted, description=f"tail_prob >= {alpha} at b={b}")
 
 
 def decay_restriction(alpha: Fraction, b: Fraction) -> Model:
@@ -375,6 +379,8 @@ def max_alpha(log: ObservationLog, b: Fraction) -> Fraction | None:
     b = Fraction(b)
     best: Fraction | None = None
     for sym, result in log.records:
+        if sym != "f":
+            raise ValueError(f"record for {sym!r}, not the decay observable 'f'")
         m, n = unpair(result)
         if n > m:
             raise ValueError(

@@ -211,7 +211,7 @@ def test_criterion_08_faithfulness_property_suites():
     # restriction faithfulness through the verification wrapper
     cases = [
         restrict(builtin("baryon"), "f",
-                 SemiDecidableSet.from_predicate(lambda n: n > 2, "n > 2"), budget),
+                 SemiDecidableSet(decide=lambda n: n > 2, description="n > 2"), budget),
         restrict(builtin("cannon"), "f", time_slice_set(3), budget),
     ]
     for sub in cases:

@@ -109,6 +109,14 @@ def test_model_restrict(capsys):
     assert out.splitlines() == ["f 4", "f 6", "f 8", "f 10"]
 
 
+def test_model_restrict_reports_model_defects(tmp_path, capsys):
+    spec = tmp_path / "div.spec"
+    spec.write_text('model "div"\nstates enumerate s\nobservable f(s) = 10 div s\n')
+    for command in (("range",), ("restrict", "--where", "n >= 0")):
+        code, out, err = run(capsys, "model", *command, "--model", str(spec), "--budget", "5")
+        assert (code, out) == (1, "") and err == "error: div by zero\n"
+
+
 def test_model_derive(capsys):
     code, out, _ = run(
         capsys, "model", "derive", "--model", "baryon", "--base", "f",
@@ -218,6 +226,13 @@ def test_stats_commands(capsys):
     assert code == 2 and out == "reject\n"
 
 
+def test_stats_negative_counts_exit_one(capsys):
+    for op, m, n, *rest in (("estimate", "3", "-1", "1/2"), ("tail", "3", "-2", "1/2"),
+                            ("tail", "-1", "-2", "1/2"), ("pieces", "2", "-1")):
+        code, out, err = run(capsys, "stats", op, m, n, *rest)
+        assert (code, out, err) == (1, "", f"error: need 0 <= n <= m, got n={n}, m={m}\n")
+
+
 def test_stats_estimate_output(capsys):
     code, out, _ = run(capsys, "stats", "estimate", "3", "2", "1/3", "--digits", "6")
     assert code == 0
@@ -248,6 +263,11 @@ def test_stats_maxalpha(tmp_path, capsys):
     empty.write_text("")
     code, out, _ = run(capsys, "stats", "maxalpha", "--log", str(empty), "--b", "1/2")
     assert code == 0 and out == "unrestricted\n"
+
+    other = tmp_path / "other.jsonl"
+    other.write_text(json.dumps({"observable": "zzz", "result": pair(3, 2)}) + "\n")
+    code, out, err = run(capsys, "stats", "maxalpha", "--log", str(other), "--b", "1/3")
+    assert code == 1 and out == "" and "'zzz'" in err
 
 
 def test_spec_fmt_and_lint(tmp_path, capsys):

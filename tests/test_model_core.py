@@ -1,6 +1,8 @@
 """Model algebra, faithfulness, and builtin-universe tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physmodels.encodings import pair
 from physmodels.model_core import (
@@ -26,15 +28,16 @@ from physmodels.model_core import (
     enumerate_range,
     merge_expansions,
     model_from_spec,
+    range_table,
     reduct,
     replay_worldline_chain,
     restrict,
     simulate_measurement,
     spot_check,
     time_slice_set,
-    ExprMap,
+    as_map,
 )
-from physmodels.spec_lang import parse_int_expr
+from physmodels.spec_lang import EvalError, parse_int_expr
 
 B100 = Budget(100)
 
@@ -139,7 +142,7 @@ def test_reduct_filters_and_preserves():
 
 
 def test_restrict_baryon_to_greater_than_two():
-    q = SemiDecidableSet.from_predicate(lambda n: n > 2, "n > 2")
+    q = SemiDecidableSet(decide=lambda n: n > 2, description="n > 2")
     sub = restrict(builtin("baryon"), "f", q, B100)
     assert enumerate_range(sub, "f", Budget(6)) == {4, 6, 8, 10, 12}
     # the composed decider now rejects 2
@@ -154,7 +157,7 @@ def test_restrict_cannon_time_slice():
 
 
 def test_restrict_with_superset_is_equivalent_at_budget():
-    q = SemiDecidableSet.from_predicate(lambda n: True, "everything")
+    q = SemiDecidableSet(decide=lambda n: True, description="everything")
     model = builtin("baryon")
     sub = restrict(model, "f", q, B100)
     report = compare_strength(sub, model, Budget(20))
@@ -164,13 +167,13 @@ def test_restrict_with_superset_is_equivalent_at_budget():
 def test_restrict_requires_single_observable():
     expanded = derive(builtin("baryon"), "f", "n", "g")
     with pytest.raises(ValueError):
-        restrict(expanded, "f", SemiDecidableSet.from_predicate(lambda n: True), B100)
+        restrict(expanded, "f", SemiDecidableSet(decide=lambda n: True), B100)
 
 
 def test_restrict_with_enumerator_defers_and_recovers():
     # Q = even numbers, given only by an enumerator: membership is verified
     # once the enumeration effort reaches the value.
-    q = SemiDecidableSet.from_enumerator(lambda i: 2 * i, "even numbers")
+    q = SemiDecidableSet(enumerator=lambda i: 2 * i, description="even numbers")
     sub = restrict(builtin("baryon"), "f", q, B100)
     few = set(sub.states.enumerate(Budget(3)))  # effort 3 verifies values 0,2,4
     many = set(sub.states.enumerate(Budget(40)))
@@ -178,6 +181,45 @@ def test_restrict_with_enumerator_defers_and_recovers():
     assert few == {0, 1}  # f(s) = 2s+2 needs enumeration effort s+2
     assert many == set(range(39))  # state 39 stays deferred at effort 40
     assert 39 in set(sub.states.enumerate(Budget(41)))
+
+
+def test_restrict_reports_model_defects():
+    # a defect in the observable is an error, never a deferral
+    model = model_from_spec('model "m"\nstates enumerate s\nobservable f(s) = 10 div s\n')
+    sub = restrict(model, "f", SemiDecidableSet.from_pred_text("n >= 0"), Budget(5))
+    with pytest.raises(EvalError, match="div by zero"):
+        enumerate_range(sub, "f", Budget(5))
+
+
+BUDGET_PAIRS = st.tuples(st.integers(0, 100), st.integers(0, 100)).map(sorted)
+
+
+@settings(max_examples=20)
+@given(BUDGET_PAIRS, st.sampled_from(["baryon", "cannon", "decay"]), st.integers(1, 5),
+       st.integers(0, 4))
+def test_restricted_and_derived_ranges_grow_with_budget(budgets, name, k, c):
+    b1, b2 = (Budget(b) for b in budgets)
+    models = [
+        restrict(builtin(name), "f", SemiDecidableSet(decide=lambda n: n % k == c % k), B100),
+        restrict(builtin(name), "f", SemiDecidableSet(enumerator=lambda i: k * i + c), B100),
+        derive(builtin(name), "f", f"n div {k} + {c}", "g"),
+    ]
+    for model in models:
+        sym = model.symbols[-1]
+        assert enumerate_range(model, sym, b1) <= enumerate_range(model, sym, b2)
+
+
+@settings(max_examples=20)
+@given(BUDGET_PAIRS, st.sampled_from(["baryon", "cannon", "decay"]),
+       st.lists(st.integers(0, 3000), max_size=8))
+def test_refuted_never_meets_a_later_witness(budgets, name, results):
+    model = builtin(name)
+    b1, b2 = (Budget(b) for b in budgets)
+    table = range_table(model, "f", b2)
+    log = ObservationLog.from_pairs(("f", n) for n in [*table, *results])
+    for verdict in check_faithful(model, log, b1):
+        if verdict.verdict == "refuted":
+            assert verdict.result not in table
 
 
 def test_derive_time_slice_distance():
@@ -205,7 +247,7 @@ def test_derive_inverse_map():
 
 def test_compare_strength_submodel():
     model = builtin("baryon")
-    q = SemiDecidableSet.from_predicate(lambda n: n > 2, "n > 2")
+    q = SemiDecidableSet(decide=lambda n: n > 2, description="n > 2")
     sub = restrict(model, "f", q, B100)
     report = compare_strength(sub, model, Budget(25))
     assert report.left_in_right["f"].verdict == "subset"  # sub is stronger
@@ -293,7 +335,7 @@ def test_restriction_wrapper_fails_outside_q():
 def test_derived_natural_op_failure_propagates():
     model = Model(
         states=AllStates(),
-        observables=(Observable("f", ExprMap.parse("2*s + 2")),),
+        observables=(Observable("f", as_map("2*s + 2")),),
         measuring_ops={"f": always_fail_op()},
     )
     expanded = derive(model, "f", "n div 2", "g")
@@ -331,7 +373,7 @@ def test_restriction_faithfulness_property():
             assert verdict.verdict == WITNESSED
         assert produced > 0
 
-    q = SemiDecidableSet.from_predicate(lambda n: n > 2, "n > 2")
+    q = SemiDecidableSet(decide=lambda n: n > 2, description="n > 2")
     sub = restrict(builtin("baryon"), "f", q, B100)
     op = sub.measuring_ops["f"]
     for seed in range(100):

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from physmodels import model_core
 from physmodels.encodings import Interval, pair
+from physmodels.model_core import Budget, model_from_spec
 from physmodels.spec_lang import (
     And,
     BinOp,
@@ -35,7 +38,6 @@ from physmodels.spec_lang import (
     format_pred,
     format_real_fn,
     int_free_vars,
-    iterate_states,
     lint_model,
     parse_int_expr,
     parse_model,
@@ -300,11 +302,18 @@ def _rebind(node, var):
     raise TypeError(type(node))
 
 
-def test_iterate_states():
-    spec = parse_model(BARYON_TEXT)
-    assert list(iterate_states(spec, 5, 100)) == [0, 1, 2, 3, 4]
-    spec = parse_model('model "m"\nstates where s mod 2 == 0\nobservable f(s) = s\n')
-    assert list(iterate_states(spec, 7, 100)) == [0, 2, 4, 6]
+def test_spec_state_spaces_enumerate():
+    model = model_from_spec(BARYON_TEXT)
+    assert list(model.states.enumerate(Budget(5, 100))) == [0, 1, 2, 3, 4]
+    model = model_from_spec('model "m"\nstates where s mod 2 == 0\nobservable f(s) = s\n')
+    assert list(model.states.enumerate(Budget(7, 100))) == [0, 2, 4, 6]
+
+
+def test_canonical_spec_files_match_builtin_texts():
+    docs = Path(__file__).resolve().parents[1] / "docs" / "models"
+    for name, text in (("baryon", model_core.BARYON_TEXT), ("cannon", model_core.CANNON_TEXT),
+                       ("decay", model_core.DECAY_TEXT)):
+        assert (docs / f"{name}.spec").read_text() == text
 
 
 def test_parse_real_fn():

@@ -67,8 +67,15 @@ def test_tail_prob_anchors():
     assert tail_prob(3, 2, F(5, 6)) == 1
     for m, n in ((1, 1), (4, 2), (7, 3)):
         assert tail_prob(m, n, F(n, m)) == 1
-    with pytest.raises(ValueError):
-        tail_prob(2, 3, F(1, 2))
+    for m, n in ((2, 3), (3, -2), (-1, -2)):
+        with pytest.raises(ValueError, match="need 0 <= n <= m"):
+            tail_prob(m, n, F(1, 2))
+    for m, n in ((2, 3), (2, -1)):
+        with pytest.raises(ValueError, match="need 0 <= n <= m"):
+            build_piecewise(m, n)
+    for m, n in ((3, -1), (0, -1)):
+        with pytest.raises(ValueError, match="need 0 <= n <= m"):
+            bounds(m, n, F(1, 2))
 
 
 def test_reject_anchors():
@@ -245,6 +252,8 @@ def test_max_alpha():
     assert max_alpha(ObservationLog.from_pairs([]), F(1, 2)) is None
     with pytest.raises(ValueError):
         max_alpha(ObservationLog.from_pairs([("f", pair(2, 3))]), F(1, 2))
+    with pytest.raises(ValueError, match="zzz"):
+        max_alpha(ObservationLog.from_pairs([("f", pair(3, 2)), ("zzz", pair(3, 2))]), F(1, 3))
 
 
 @given(
