@@ -14,6 +14,7 @@ fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -269,12 +270,12 @@ def _range_request(args) -> neighborhoods.GraphRangeRequest:
 def _cmd_range_enumerate(args) -> int:
     grange = neighborhoods.enumerate_graph_range(_range_request(args))
     fn = grange.request.machine
+    # codes share their rectangles, so each (code, dim) is decoded once
+    rect_text = functools.cache(lambda code, dim: format_rect(rect_decode(code, dim)))
     for code in sorted(grange.codes):
         if args.annotate:
             left, right = unpair(code)
-            in_rect = format_rect(rect_decode(left, fn.arity))
-            out_rect = format_rect(rect_decode(right, fn.out_dim))
-            print(f"{code} {in_rect} -> {out_rect}")
+            print(f"{code} {rect_text(left, fn.arity)} -> {rect_text(right, fn.out_dim)}")
         else:
             print(code)
     if grange.truncated:

@@ -399,8 +399,9 @@ class ObservationLog:
             for sym, result in self.records
         )
 
-    def symbols(self) -> set[str]:
-        return {sym for sym, _ in self.records}
+    def symbols(self) -> tuple[str, ...]:
+        """Logged symbols in order of first appearance."""
+        return tuple(dict.fromkeys(sym for sym, _ in self.records))
 
     def results_for(self, symbol: str) -> list[int]:
         return [r for s, r in self.records if s == symbol]

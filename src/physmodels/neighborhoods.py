@@ -15,8 +15,27 @@ emits the paired input/output code, and finally saturates upward: every
 bounded product code containing an emitted one is allowed.  Because interval
 evaluation is inclusion isotone and outputs are intersected with previous
 ones, running the machine on a nested chain gives exactly the result of the
-constant chain of its deepest element, so the walk collapses to one
-evaluation per pool box without changing the emitted set.
+constant chain of its deepest element, so the walk is one evaluation per
+fine box: the products of open intervals between fine grid points, in
+lexicographic order, cut off after ``budget.max_states`` boxes.
+
+That walk collapses further, to one evaluation per *atom* box: a product of
+elementary intervals between neighbouring fine grid points.  Two facts make
+the emitted set equal:
+
+* Every fine box B contains the atom box A(B) taken at each coordinate's
+  lower grid index, and A(B) comes at or before B in walk order, so any
+  walked prefix that holds B also holds A(B).
+* The pairs a box contributes (the coarse intervals containing each input
+  component times those containing each output component) only grow as the
+  box shrinks.  The input side grows by definition.  The output side grows
+  because ``eval_closed_box`` over + - * and negation is inclusion isotone,
+  and so is ``widen_to_open``: its margin ``min(2**-i, w/2)`` does not
+  decrease as the width w grows, and on a nonempty box a width-0 enclosure
+  comes only from a constant component, which has the same value on every
+  box.
+
+So the atoms within the walked prefix contribute every pair of the walk.
 
 The input code pool refines a base Farey-style pool (numerators and
 denominators bounded) with dyadic subdivisions, so input chains can shrink
@@ -36,6 +55,7 @@ from .encodings import (
     Interval,
     Rect,
     dyadic_shrink,
+    interval_code,
     pair,
     rect_code,
     rect_decode,
@@ -259,9 +279,6 @@ class OracleMachine:
         assert previous is not None
         return previous
 
-    def closed_enclosure(self, box: Sequence[Interval]):
-        return eval_closed_box(self.fn, box)
-
 
 def machine_step(
     machine: OracleMachine, oracle: NestedOracle, m: int, max_steps: int | None = None
@@ -312,26 +329,21 @@ class GraphRangeRequest:
         if self.refine < 0:
             raise ValueError("refinement depth cannot be negative")
 
-    def scaled(self, num_bound=None, den_bound=None, refine=None, chain_len=None, budget=None):
-        return GraphRangeRequest(
-            self.machine,
-            num_bound or self.num_bound,
-            den_bound or self.den_bound,
-            self.refine if refine is None else refine,
-            chain_len or self.chain_len,
-            budget or self.budget,
-        )
-
 
 @dataclass
 class GraphRange:
-    """Result of a budgeted graph-range enumeration."""
+    """Result of a budgeted graph-range enumeration.
+
+    ``boxes_evaluated`` counts the fine boxes the budgeted walk covered; each
+    of them was either evaluated or is dominated by an evaluated atom box
+    inside the same prefix (see the module docstring).  ``truncated`` says
+    that the budget cut the walk before its last box.
+    """
 
     request: GraphRangeRequest
     codes: frozenset[int]
     boxes_evaluated: int
     truncated: bool
-    skipped: int
 
     @property
     def basis(self) -> ProductBasis:
@@ -341,54 +353,45 @@ class GraphRange:
     def __contains__(self, code: int) -> bool:
         return code in self.codes
 
-    def regenerate(self, **kwargs) -> "GraphRange":
-        return enumerate_graph_range(self.request.scaled(**kwargs))
-
 
 class _CoarsePool:
-    """Sorted value grid with superset bitmasks over its open intervals."""
+    """Open intervals between points of a sorted value grid, each coded once.
+
+    Interval ``(values[a], values[b])`` is bit ``a(2n-a-1)/2 + (b-a-1)`` of the
+    superset masks and has its ``interval_code`` at that index of ``codes``.
+    """
 
     def __init__(self, values: Sequence[Fraction]):
         self.values = list(values)
-        self.intervals = [
-            (a, b)
-            for a in range(len(values))
-            for b in range(a + 1, len(values))
-        ]
-        self.index = {ab: i for i, ab in enumerate(self.intervals)}
-        self.codes = [
-            (Interval(values[a], values[b])) for a, b in self.intervals
-        ]
         n = len(values)
-        # suffix[a][y]: bits of intervals (a, b) with b >= y
-        suffix = [[0] * (n + 1) for _ in range(n)]
-        for a in range(n):
-            acc = 0
-            for b in range(n - 1, a, -1):
-                acc |= 1 << self.index[(a, b)]
-                suffix[a][b] = acc
-            for y in range(a, -1, -1):
-                suffix[a][y] = acc
-        # mask[x][y]: bits of intervals (a, b) with a < x and b >= y
-        self.mask = [[0] * (n + 1) for _ in range(n + 1)]
-        for x in range(1, n + 1):
-            for y in range(n + 1):
-                self.mask[x][y] = self.mask[x - 1][y] | suffix[x - 1][y]
+        self.codes = [
+            interval_code(Interval(values[a], values[b]))
+            for a in range(n)
+            for b in range(a + 1, n)
+        ]
+        self._masks: dict[tuple[int, int], int] = {}
 
-    def superset_mask(self, iv: Interval) -> int:
-        """Bitmask of pool intervals containing ``iv``."""
-        x = bisect_right(self.values, iv.lo)
-        y = bisect_left(self.values, iv.hi)
-        return self.mask[x][min(y, len(self.values))]
-
-    def superset_signature(self, iv: Interval) -> tuple[int, int]:
+    def signature(self, iv: Interval) -> tuple[int, int]:
+        """Grid positions that decide which pool intervals contain ``iv``."""
         return (bisect_right(self.values, iv.lo), bisect_left(self.values, iv.hi))
 
-    def mask_for_signature(self, sig: tuple[int, int]) -> int:
-        return self.mask[sig[0]][min(sig[1], len(self.values))]
+    def mask(self, sig: tuple[int, int]) -> int:
+        """Bits of the intervals ``(a, b)`` with ``a < x`` and ``b >= y``."""
+        mask = self._masks.get(sig)
+        if mask is None:
+            x, y = sig
+            n = len(self.values)
+            mask = 0
+            for a in range(x):
+                first = max(y, a + 1)
+                if first < n:
+                    start = a * (2 * n - a - 1) // 2 + (first - a - 1)
+                    mask |= ((1 << (n - first)) - 1) << start
+            self._masks[sig] = mask
+        return mask
 
-    def interval_code(self, i: int) -> int:
-        return rect_code((self.codes[i],))
+    def superset_codes(self, sig: tuple[int, int]) -> list[int]:
+        return [self.codes[i] for i in _bits(self.mask(sig))]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -401,62 +404,60 @@ def _bits(mask: int) -> Iterator[int]:
 def enumerate_graph_range(req: GraphRangeRequest) -> GraphRange:
     """Budgeted enumeration of the graph neighborhood model's range.
 
+    The walk covers the first ``budget.max_states`` fine boxes in
+    lexicographic order, but only the atom boxes among them are evaluated;
+    the module docstring shows that the emitted set is the same.
     Deterministic; grows monotonically with the pool bounds, refinement
     depth, and chain length whenever the budget does not truncate the walk.
     """
     fn = req.machine
     c, d = fn.arity, fn.out_dim
     fine = refined_values(req.num_bound, req.den_bound, req.refine)
-    fine_intervals = [
-        Interval(lo, hi)
-        for i, lo in enumerate(fine)
-        for hi in fine[i + 1 :]
-    ]
+    n = len(fine)
+    per = n * (n - 1) // 2  # fine intervals per coordinate
+    total = per**c
+    walked = min(total, req.budget.max_states)
+    atoms = [Interval(fine[k], fine[k + 1]) for k in range(n - 1)]
+    atom_index = [k * (2 * n - k - 1) // 2 for k in range(n - 1)]  # in the walk
     coarse = _CoarsePool(farey_values(req.num_bound, req.den_bound))
 
     deepest = req.chain_len - 1
-    truncated = False
-    evaluated = 0
     sigs: set[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]] = set()
-    boxes = product(fine_intervals, repeat=c)
-    for box in boxes:
-        if evaluated >= req.budget.max_states:
-            truncated = True
+    # atom_index is increasing, so atom tuples come in walk order
+    for ks in product(range(n - 1), repeat=c):
+        index = 0
+        for k in ks:
+            index = index * per + atom_index[k]
+        if index >= walked:
             break
-        evaluated += 1
+        box = tuple(atoms[k] for k in ks)
         raw = eval_closed_box(fn, box)
         out_rect = tuple(widen_to_open(bounds, deepest) for bounds in raw)
-        in_sig = tuple(coarse.superset_signature(iv) for iv in box)
-        out_sig = tuple(coarse.superset_signature(iv) for iv in out_rect)
+        in_sig = tuple(coarse.signature(iv) for iv in box)
+        out_sig = tuple(coarse.signature(iv) for iv in out_rect)
         sigs.add((in_sig, out_sig))
 
+    def rect_codes(sig: tuple[tuple[int, int], ...]) -> list[int]:
+        return [pair(*parts) for parts in product(*map(coarse.superset_codes, sig))]
+
     codes: set[int] = set()
-    if c == 1 and d == 1:
-        rows: dict[int, int] = {}
-        for in_sig, out_sig in sigs:
-            in_mask = coarse.mask_for_signature(in_sig[0])
-            out_mask = coarse.mask_for_signature(out_sig[0])
-            if not in_mask or not out_mask:
-                continue
-            for i in _bits(in_mask):
-                rows[i] = rows.get(i, 0) | out_mask
-        for i, row in rows.items():
-            left = coarse.interval_code(i)
-            for j in _bits(row):
-                codes.add(pair(left, coarse.interval_code(j)))
+    if d == 1:
+        rows: dict[int, int] = {}  # input rectangle code -> output interval bits
+        for in_sig, (out_sig,) in sigs:
+            out_mask = coarse.mask(out_sig)
+            if out_mask:
+                for left in rect_codes(in_sig):
+                    rows[left] = rows.get(left, 0) | out_mask
+        for left, row in rows.items():
+            codes.update(pair(left, coarse.codes[j]) for j in _bits(row))
     else:
         for in_sig, out_sig in sigs:
-            in_lists = [list(_bits(coarse.mask_for_signature(s))) for s in in_sig]
-            out_lists = [list(_bits(coarse.mask_for_signature(s))) for s in out_sig]
-            if any(not lst for lst in in_lists + out_lists):
-                continue
-            for in_combo in product(*in_lists):
-                left = rect_code(tuple(coarse.codes[i] for i in in_combo))
-                for out_combo in product(*out_lists):
-                    right = rect_code(tuple(coarse.codes[j] for j in out_combo))
-                    codes.add(pair(left, right))
+            rights = rect_codes(out_sig)
+            if rights:
+                for left in rect_codes(in_sig):
+                    codes.update(pair(left, right) for right in rights)
 
-    return GraphRange(req, frozenset(codes), evaluated, truncated, 0)
+    return GraphRange(req, frozenset(codes), walked, total > walked)
 
 
 # ---------------------------------------------------------------------------

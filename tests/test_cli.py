@@ -4,8 +4,11 @@ import json
 from pathlib import Path
 
 from physmodels.cli import format_poly, main
-from physmodels.encodings import pair
+from physmodels.encodings import pair, parse_rect, rect_decode, unpair
 from physmodels.exact_arith import poly
+from physmodels.model_core import Budget
+from physmodels.neighborhoods import GraphRangeRequest, enumerate_graph_range
+from physmodels.spec_lang import parse_real_fn
 
 
 def run(capsys, *argv):
@@ -70,6 +73,20 @@ def test_model_check_exit_codes(tmp_path, capsys):
     assert json.loads(out) == {
         "symbol": "f", "result": 2, "verdict": "witnessed", "witness_state": 0,
     }
+
+
+def test_model_check_names_first_unknown_symbol(tmp_path, capsys):
+    for first, second in (("g", "h"), ("h", "g")):
+        log = tmp_path / "two.jsonl"
+        log.write_text(
+            json.dumps({"observable": first, "result": 1}) + "\n"
+            + json.dumps({"observable": second, "result": 1}) + "\n"
+        )
+        code, out, err = run(
+            capsys, "model", "check", "--model", "baryon", "--log", str(log),
+            "--budget", "10",
+        )
+        assert (code, out, err) == (1, "", f"error: '{first}'\n")
 
 
 def test_model_check_structured_output_is_stable(tmp_path, capsys):
@@ -186,6 +203,14 @@ def test_range_enumerate_and_probe(capsys):
 
     code, out2, _ = run(capsys, "range", "enumerate", *args, "--annotate")
     assert code == 0 and "->" in out2.splitlines()[0]
+    lines = out2.splitlines()
+    assert [int(line.split(" ", 1)[0]) for line in lines] == codes
+    for line in lines:
+        code_text, in_text, arrow, out_text = line.split(" ")
+        left, right = unpair(int(code_text))
+        assert arrow == "->"
+        assert parse_rect(in_text) == rect_decode(left, 1)
+        assert parse_rect(out_text) == rect_decode(right, 1)
 
     code, out, _ = run(
         capsys, "range", "probe", "--machine", "squaring", "--height", "2",
@@ -199,6 +224,22 @@ def test_range_enumerate_and_probe(capsys):
     )
     assert code == 2
     assert "excluded at depth 2" in out and "(3/4;5/4) x (7/4;9/4)" in out
+
+
+def test_range_enumerate_truncated_budget(capsys):
+    fn = parse_real_fn("map(x) = x * x")
+    args = ["--machine", "map(x) = x * x", "--height", "1", "--den", "2",
+            "--refine", "2", "--chain", "2"]
+    full = enumerate_graph_range(GraphRangeRequest(fn, 1, 2, 2, 2))
+    assert not full.truncated
+    # the last box is dominated by an atom walked before it: same codes
+    for budget, smaller in ((full.boxes_evaluated // 3, True), (full.boxes_evaluated - 1, False)):
+        grange = enumerate_graph_range(GraphRangeRequest(fn, 1, 2, 2, 2, Budget(budget)))
+        assert grange.truncated and grange.codes <= full.codes
+        assert (grange.codes < full.codes) == smaller
+        code, out, err = run(capsys, "range", "enumerate", *args, "--budget", str(budget))
+        assert (code, err) == (0, "truncated\n")
+        assert out == "".join(f"{c}\n" for c in sorted(grange.codes))
 
 
 def test_range_enumerate_machine_file_with_trailing_newlines(tmp_path, capsys):

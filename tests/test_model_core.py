@@ -95,6 +95,16 @@ def test_check_faithful_unknown_symbol():
         check_faithful(builtin("baryon"), ObservationLog.from_pairs([("g", 1)]), B100)
 
 
+def test_unknown_symbol_error_names_first_logged_symbol():
+    for first, second in (("g", "h"), ("h", "g")):
+        log = ObservationLog.from_pairs([(first, 1), (second, 2), (first, 3)])
+        assert log.symbols() == (first, second)
+        for check in (check_faithful, check_maximally_faithful):
+            with pytest.raises(UnknownSymbolError) as err:
+                check(builtin("baryon"), log, Budget(10))
+            assert err.value.args == (first,)
+
+
 def test_step_exhaustion_identifies_state():
     model = builtin("baryon")
     with pytest.raises(RangeEvaluationError) as err:

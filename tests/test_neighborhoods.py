@@ -1,6 +1,7 @@
 """Basis codecs, nested oracles, machines, and graph-range enumeration tests."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from physmodels.encodings import (
     seg_code,
     unpair,
 )
+from physmodels import neighborhoods
 from physmodels.model_core import Budget, enumerate_range
 from physmodels.neighborhoods import (
     EuclideanBasis,
@@ -30,9 +32,11 @@ from physmodels.neighborhoods import (
     ideal_gas_map,
     membership_probe,
     neighborhood_model,
+    refined_values,
     GAS_CONSTANT,
     subset_codes,
 )
+from physmodels.spec_lang import eval_closed_box, parse_real_fn, widen_to_open
 
 F = Fraction
 UNIT = Interval(F(0), F(1))
@@ -211,6 +215,76 @@ def test_graph_range_monotone_in_bounds():
                           chain_len=3, budget=Budget(200_000))
     )
     assert small.codes <= bigger.codes
+
+
+def full_walk_range(req):
+    """Reference enumerator: evaluate every fine box of the budgeted walk.
+
+    Walks ``product(fine intervals, repeat=arity)`` in order, stops after
+    ``budget.max_states`` boxes, and emits every pair of pool rectangles
+    containing a box and its widened output.
+    """
+    fn = req.machine
+    fine = refined_values(req.num_bound, req.den_bound, req.refine)
+    fine_intervals = [Interval(lo, hi) for i, lo in enumerate(fine) for hi in fine[i + 1 :]]
+    values = farey_values(req.num_bound, req.den_bound)
+    pool = [Interval(lo, hi) for i, lo in enumerate(values) for hi in values[i + 1 :]]
+    evaluated, truncated = 0, False
+    supersets = set()
+    for box in product(fine_intervals, repeat=fn.arity):
+        if evaluated >= req.budget.max_states:
+            truncated = True
+            break
+        evaluated += 1
+        out = [widen_to_open(b, req.chain_len - 1) for b in eval_closed_box(fn, box)]
+        supersets.add(tuple(
+            tuple(p for p in pool if p.contains_interval(iv)) for iv in (*box, *out)
+        ))
+    codes = set()
+    for lists in supersets:
+        for left in product(*lists[: fn.arity]):
+            for right in product(*lists[fn.arity :]):
+                codes.add(pair(rect_code(left), rect_code(right)))
+    return frozenset(codes), evaluated, truncated
+
+
+REFERENCE_MAPS = {
+    "identity": (IDENTITY_MAP, [(1, 1, 0), (1, 2, 1), (2, 2, 2), (2, 1, 2)]),
+    "squaring": (SQUARING_MAP, [(1, 1, 1), (1, 2, 2), (2, 2, 1)]),
+    "cubic": (parse_real_fn("map(x) = x*x*x - x"), [(1, 2, 1), (2, 1, 2), (2, 2, 0)]),
+    "constant": (parse_real_fn("map(x) = 0*x + 1"), [(2, 1, 2), (2, 2, 1)]),
+    "ideal_gas": (ideal_gas_map(), [(1, 1, 0), (1, 1, 1), (1, 2, 1)]),
+    "two_outputs": (parse_real_fn("map(x, y) = (x*y - x, y*y + x)"), [(1, 1, 1), (2, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_graph_range_equals_full_walk(name):
+    fn, bounds = REFERENCE_MAPS[name]
+    for num, den, refine in bounds:
+        n = len(refined_values(num, den, refine))
+        total = (n * (n - 1) // 2) ** fn.arity
+        for budget in sorted({0, 1, total // 7, total // 3, total - 1, total, total + 5}):
+            for chain_len in (1, 3):
+                req = GraphRangeRequest(fn, num, den, refine, chain_len, Budget(budget))
+                got = enumerate_graph_range(req)
+                expected = full_walk_range(req)
+                assert (got.codes, got.boxes_evaluated, got.truncated) == expected
+                assert got.truncated == (budget < total)
+
+
+def test_graph_range_evaluates_only_atom_boxes(monkeypatch):
+    calls = []
+
+    def counting(fn, box):
+        calls.append(box)
+        return eval_closed_box(fn, box)
+
+    monkeypatch.setattr(neighborhoods, "eval_closed_box", counting)
+    grange = enumerate_graph_range(GraphRangeRequest(IDENTITY_MAP, 3, 3, 3, 2))
+    assert not grange.truncated
+    assert grange.boxes_evaluated == 18_528
+    assert len(calls) == 192
 
 
 def test_probe_on_graph_point_stays_consistent():
