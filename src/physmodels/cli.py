@@ -514,10 +514,27 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, model_core.RangeEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def console_main(argv=None) -> int:
+    """Entry point of the ``physmodels`` program: ``main`` with Python's cap
+    on the digits of int/str conversion lifted for the duration of the call.
+
+    Codes are exact integers of any size; an estimate code at m = 8 already
+    passes the default 4300 digits.  Input size stays bounded by the
+    operating system's limit on one argument.  ``main`` itself keeps the
+    interpreter's cap, so a program that embeds it keeps its own limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

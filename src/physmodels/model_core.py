@@ -30,7 +30,8 @@ space.  ``compare_strength`` orders models by budgeted range inclusion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import encodings, spec_lang
@@ -41,8 +42,9 @@ from .spec_lang import (
     Pred,
     StepCounter,
     StepLimitExceeded,
-    eval_int,
-    eval_pred,
+    compile_expr,
+    format_int_expr,
+    format_pred,
     parse_int_expr,
     parse_model,
 )
@@ -62,11 +64,16 @@ class UnknownSymbolError(KeyError):
 
 
 class RangeEvaluationError(RuntimeError):
-    """An observable map ran out of steps; carries the offending state."""
+    """A map ran out of steps while states or values were enumerated.
 
-    def __init__(self, symbol: str, state: int, limit: int):
+    ``symbol`` names the map: an observable symbol, or the state-space
+    clause such as ``states enumerate s*s``; ``state`` is the state, or the
+    enumerator index when ``at`` is ``"index"``.
+    """
+
+    def __init__(self, symbol: str, state: int, limit: int, at: str = "state"):
         super().__init__(
-            f"evaluating {symbol!r} at state {state} exceeded {limit} steps"
+            f"evaluating {symbol!r} at {at} {state} exceeded {limit} steps"
         )
         self.symbol = symbol
         self.state = state
@@ -115,8 +122,12 @@ class ExprMap:
     var: str
     body: IntExpr
 
+    @cached_property
+    def _compiled(self) -> Callable[[int, StepCounter], int]:
+        return compile_expr(self.body, self.var)
+
     def evaluate(self, state: int, steps: StepCounter) -> int:
-        return eval_int(self.body, {self.var: state} if self.var else {}, steps)
+        return self._compiled(state, steps)
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,8 @@ def _sole_var(node: IntExpr | Pred, what: str) -> str:
 
 def _pred_decider(var: str, pred: Pred) -> Callable[[int], bool]:
     """Total decider for a one-variable predicate; each call gets fresh steps."""
-    return lambda n: eval_pred(pred, {var: n} if var else {}, StepCounter(DEFAULT_OP_STEPS))
+    test = compile_expr(pred, var)
+    return lambda n: test(n, StepCounter(DEFAULT_OP_STEPS))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +264,19 @@ class EnumeratedStates:
     var: str
     expr: IntExpr
 
+    @cached_property
+    def _compiled(self) -> Callable[[int, StepCounter], int]:
+        return compile_expr(self.expr, self.var)
+
     def enumerate(self, budget: Budget) -> Iterator[int]:
+        run, limit = self._compiled, budget.max_steps
         for i in range(budget.max_states):
-            env = {self.var: i} if self.var else {}
-            yield eval_int(self.expr, env, StepCounter(budget.max_steps))
+            try:
+                state = run(i, StepCounter(limit))
+            except StepLimitExceeded:
+                clause = f"states enumerate {format_int_expr(self.expr)}"
+                raise RangeEvaluationError(clause, i, limit, at="index") from None
+            yield state
 
     def membership(self, n: int) -> bool | None:
         return None
@@ -268,14 +289,23 @@ class FilteredStates:
     var: str
     pred: Pred
 
+    @cached_property
+    def _compiled(self) -> Callable[[int, StepCounter], bool]:
+        return compile_expr(self.pred, self.var)
+
     def enumerate(self, budget: Budget) -> Iterator[int]:
+        test, limit = self._compiled, budget.max_steps
         for i in range(budget.max_states):
-            env = {self.var: i} if self.var else {}
-            if eval_pred(self.pred, env, StepCounter(budget.max_steps)):
+            try:
+                member = test(i, StepCounter(limit))
+            except StepLimitExceeded:
+                clause = f"states where {format_pred(self.pred)}"
+                raise RangeEvaluationError(clause, i, limit) from None
+            if member:
                 yield i
 
     def membership(self, n: int) -> bool | None:
-        return _pred_decider(self.var, self.pred)(n)
+        return self._compiled(n, StepCounter(DEFAULT_OP_STEPS))
 
 
 @dataclass(frozen=True)
@@ -286,8 +316,13 @@ class MappedStates:
     forward: ObservableMap
 
     def enumerate(self, budget: Budget) -> Iterator[int]:
+        limit = budget.max_steps
         for s in self.parent.enumerate(budget):
-            yield self.forward.evaluate(s, StepCounter(budget.max_steps))
+            try:
+                image = self.forward.evaluate(s, StepCounter(limit))
+            except StepLimitExceeded:
+                raise RangeEvaluationError("state renaming", s, limit) from None
+            yield image
 
     def membership(self, n: int) -> bool | None:
         return None
@@ -996,8 +1031,20 @@ def replay_worldline_chain(
     first component ``u``, derive the distance observable, reduce to it,
     rename the single state to 0, and finally merge all slices.  Seeded
     simulated measurements are checked for witnessing at every stage.
+
+    The projectile's measuring operation runs once per seed, up front; the
+    chain is built from a copy of the projectile model whose operation reads
+    those results.  Every stage still runs its own operation on every seed,
+    so each stage's wrapping (the restriction check, the derived ``L(x)``,
+    the pass-through of reduct, isomorph and merge) acts on the same
+    measurements as if each stage measured afresh.
     """
     cannon = builtin("cannon")
+    op = cannon.measuring_ops["f"]
+    measured = {seed: simulate_measurement(op, seed) for seed in seeds}
+    cannon = replace(
+        cannon, measuring_ops={"f": MeasuringOperation(measured.__getitem__, op.description)}
+    )
     stages: list[ChainStageReport] = []
     parts: list[Model] = []
     values: dict[int, int] = {}

@@ -23,14 +23,23 @@ rectangle so it can serve as a basis-element code (see ``eval_interval``).
 Evaluation is budgeted: every node visited costs one step and a nonpositive
 remaining budget aborts with ``StepLimitExceeded``, which is how divergence of
 untrusted maps is modeled.
+
+``eval_int``/``eval_pred`` are the reference interpreters.  ``compile_expr``
+turns an expression or predicate into nested closures, built once per
+expression, that charge the same steps: with a node's worst-case cost left on
+the counter it evaluates without per-node ticks and subtracts the steps the
+interpreter would have ticked; otherwise, and whenever the closures raise, it
+falls back to the interpreter, so every step-limit or evaluation error is
+raised at the same node with the same message and the same steps left.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import encodings
 from .encodings import Interval, Rect
@@ -763,6 +772,167 @@ def eval_pred(p: Pred, env: dict[str, int], steps: StepCounter) -> bool:
     if isinstance(p, Not):
         return not eval_pred(p.arg, env, steps)
     raise TypeError(type(p))
+
+
+# ---------------------------------------------------------------------------
+# Compiled integer evaluation
+#
+# A compiled node is a (kind, payload, worst) triple: kind "lit" carries the
+# literal, "var" the bound variable (payload unused), "fn" a branch-free
+# closure x -> value, and "steps" a closure (x, steps) -> value for a subtree
+# with a conditional or a connective.  ``worst`` is the most steps the
+# interpreter can charge for the node.  A branch-free subtree always charges
+# exactly ``worst``; a "steps" closure gives back to the counter the steps of
+# the part it skips, so the charge matches the interpreter's node count.
+
+_CMP = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_ARITH = {
+    "+": operator.add,
+    "-": lambda a, b: a - b if a >= b else 0,
+    "*": operator.mul,
+    # A zero divisor raises ZeroDivisionError; the caller then replays the
+    # interpreter, which raises EvalError at the same node.
+    "div": operator.floordiv,
+    "mod": operator.mod,
+}
+
+
+def compile_expr(node: IntExpr | Pred, var: str) -> Callable[[int, StepCounter], int | bool]:
+    """``node`` with its one variable ``var`` ("" when closed) as a callable
+    ``(value, steps) -> int | bool`` equal to ``eval_int``/``eval_pred`` on
+    ``{var: value}``: the same value or exception, and the same steps charged.
+
+    With at least the node's worst-case cost left on ``steps`` it runs nested
+    closures without per-node ticks and subtracts the steps the interpreter
+    would have ticked.  With less, or when the closures raise (a zero divisor,
+    an unbound variable), it replays the interpreter from the same count,
+    which raises at the same node with the same message.
+    """
+    part = _compile(node, var)
+    (fast, takes_steps), worst = _callable(part), part[2]
+    reference = eval_pred if isinstance(node, (Cmp, And, Or, Not)) else eval_int
+
+    def run(value: int, steps: StepCounter) -> int | bool:
+        start = steps.remaining
+        if start >= worst:
+            steps.remaining = start - worst
+            try:
+                return fast(value, steps) if takes_steps else fast(value)
+            except Exception:
+                steps.remaining = start
+        return reference(node, {var: value} if var else {}, steps)
+
+    return run
+
+
+def _compile(node: IntExpr | Pred, var: str) -> tuple[str, object, int]:
+    if isinstance(node, Lit):
+        return "lit", node.value, 1
+    if isinstance(node, Var):
+        if node.name == var:
+            return "var", None, 1
+        message = f"unbound variable {node.name!r}"
+
+        def unbound(x):
+            raise EvalError(message)
+
+        return "fn", unbound, 1
+    if isinstance(node, (BinOp, Cmp)):
+        op = _ARITH[node.op] if isinstance(node, BinOp) else _CMP[node.op]
+        return _combine(op, [_compile(node.left, var), _compile(node.right, var)])
+    # Codec functions are looked up on the module at call time, as eval_int
+    # does, so wrappers installed on ``encodings`` after compiling see them.
+    if isinstance(node, PairOp):
+        return _combine(lambda *parts: encodings.pair(*parts), [_compile(a, var) for a in node.args])
+    if isinstance(node, Proj):
+        if node.which == "K":
+            return _combine(lambda n: encodings.first(n), [_compile(node.arg, var)])
+        return _combine(lambda n: encodings.second(n), [_compile(node.arg, var)])
+    if isinstance(node, Not):
+        return _combine(operator.not_, [_compile(node.arg, var)])
+    if isinstance(node, Cond):
+        return _compile_cond(*(_compile(n, var) for n in (node.test, node.then, node.other)))
+    if isinstance(node, (And, Or)):
+        left, right = _compile(node.left, var), _compile(node.right, var)
+        return _compile_connective(isinstance(node, And), left, right)
+    raise TypeError(type(node))
+
+
+def _combine(op: Callable, parts: list[tuple[str, object, int]]) -> tuple[str, object, int]:
+    """``op`` applied to the values of ``parts``, evaluated left to right."""
+    worst = 1 + sum(w for _, _, w in parts)
+    if any(kind == "steps" for kind, _, _ in parts):
+        fs = [_callable(p) for p in parts]
+        return "steps", lambda x, s: op(*[f(x, s) if st else f(x) for f, st in fs]), worst
+    if len(parts) == 1:
+        if parts[0][0] == "var":
+            return "fn", op, worst
+        f = _callable(parts[0])[0]
+        return "fn", lambda x: op(f(x)), worst
+    if len(parts) == 2:
+        (lk, a, _), (rk, b, _) = parts
+        # Literal and variable operands are inlined: they are most operands.
+        if lk == "fn" and rk == "lit":
+            return "fn", lambda x: op(a(x), b), worst
+        if lk == "var" and rk == "lit":
+            return "fn", lambda x: op(x, b), worst
+        if lk == "lit" and rk == "var":
+            return "fn", lambda x: op(a, x), worst
+        if lk == "lit" and rk == "fn":
+            return "fn", lambda x: op(a, b(x)), worst
+    fs = [_callable(p)[0] for p in parts]
+    if len(fs) == 2:
+        f, g = fs
+        return "fn", lambda x: op(f(x), g(x)), worst
+    return "fn", lambda x: op(*[f(x) for f in fs]), worst
+
+
+def _compile_cond(test, then, other) -> tuple[str, object, int]:
+    branch = max(then[2], other[2])
+    worst = 1 + test[2] + branch
+    (t, ts), (a, as_), (b, bs) = _callable(test), _callable(then), _callable(other)
+    give_a, give_b = branch - then[2], branch - other[2]
+
+    def cond(x, s):
+        if t(x, s) if ts else t(x):
+            s.remaining += give_a
+            return a(x, s) if as_ else a(x)
+        s.remaining += give_b
+        return b(x, s) if bs else b(x)
+
+    return "steps", cond, worst
+
+
+def _compile_connective(is_and: bool, left, right) -> tuple[str, object, int]:
+    worst = 1 + left[2] + right[2]
+    (f, fs), (g, gs), skipped = _callable(left), _callable(right), right[2]
+    if is_and:
+        def connective(x, s):
+            if f(x, s) if fs else f(x):
+                return g(x, s) if gs else g(x)
+            s.remaining += skipped
+            return False
+    else:
+        def connective(x, s):
+            if f(x, s) if fs else f(x):
+                s.remaining += skipped
+                return True
+            return g(x, s) if gs else g(x)
+
+    return "steps", connective, worst
+
+
+def _callable(part: tuple[str, object, int]) -> tuple[Callable, bool]:
+    """The closure of a compiled node, and whether it takes the counter."""
+    kind, payload, _ = part
+    if kind == "lit":
+        return (lambda x: payload), False
+    if kind == "var":
+        return (lambda x: x), False
+    return payload, kind == "steps"  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """CLI behavior: output contracts, exit codes, and byte-stable structured output."""
 
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
-from physmodels.cli import format_poly, main
+from physmodels.cli import console_main, format_poly, main
 from physmodels.encodings import pair, parse_rect, rect_decode, unpair
 from physmodels.exact_arith import poly
 from physmodels.model_core import Budget
 from physmodels.neighborhoods import GraphRangeRequest, enumerate_graph_range
+from physmodels.stats import interval_estimate
 from physmodels.spec_lang import parse_real_fn
 
 
@@ -150,6 +153,16 @@ def test_model_reduct(capsys):
     assert code == 0 and out.splitlines() == ["f 2", "f 4"]
 
 
+def test_step_exhaustion_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "model", "range", "--model", "baryon", "--budget", "5:3")
+    assert (code, out, err) == (1, "", "error: evaluating 'f' at state 0 exceeded 3 steps\n")
+    spec = tmp_path / "deep.spec"
+    spec.write_text('model "deep"\nstates enumerate s*s*s*s\nobservable f(s) = s\n')
+    code, out, err = run(capsys, "model", "range", "--model", str(spec), "--budget", "5:3")
+    assert (code, out) == (1, "")
+    assert err == "error: evaluating 'states enumerate s * s * s * s' at index 0 exceeded 3 steps\n"
+
+
 def test_model_compare(capsys):
     code, out, _ = run(
         capsys, "model", "compare", "--model", "baryon", "--other", "baryon",
@@ -287,6 +300,31 @@ def test_stats_estimate_output(capsys):
     code, out, _ = run(capsys, "decode", "estimate", str(estimate_code))
     assert code == 0
     assert out.splitlines()[0] == "r = 1/3 (exact)"
+
+
+def test_program_prints_codes_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    for m, n in ((8, 2), (10, 3), (12, 4)):
+        argv = ["stats", "estimate", str(m), str(n), "1/20", "--digits", "6"]
+        code = console_main(argv)
+        out = capsys.readouterr().out
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        printed = out.splitlines()[-1].removeprefix("code = ")
+        assert len(printed) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(interval_estimate(m, n, Fraction(1, 20)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        assert console_main(["decode", "estimate", printed]) == 0
+        assert capsys.readouterr().out.splitlines() == out.splitlines()[:2]
+        assert sys.get_int_max_str_digits() == limit
+
+        # main, which a program embeds, keeps the interpreter's limit
+        assert main(argv) == 1
+        assert "Exceeds the limit" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_stats_maxalpha(tmp_path, capsys):

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physmodels import model_core
 from physmodels.encodings import pair
 from physmodels.model_core import (
     AllStates,
     Budget,
+    ChainReport,
+    ChainStageReport,
     Failure,
     FiniteStates,
+    MeasuringOperation,
     Model,
     ObservationLog,
     Observable,
@@ -21,6 +25,7 @@ from physmodels.model_core import (
     always_fail_op,
     apply_isomorphism,
     builtin,
+    cannon_ranging_op,
     check_faithful,
     check_maximally_faithful,
     compare_strength,
@@ -110,6 +115,24 @@ def test_step_exhaustion_identifies_state():
     with pytest.raises(RangeEvaluationError) as err:
         enumerate_range(model, "f", Budget(5, max_steps=2))
     assert err.value.state == 0
+
+    deep = model_from_spec('model "m"\nstates enumerate s*s*s*s\nobservable f(s) = s\n')
+    with pytest.raises(RangeEvaluationError) as err:
+        enumerate_range(deep, "f", Budget(5, max_steps=3))
+    assert err.value.state == 0
+    assert str(err.value) == "evaluating 'states enumerate s * s * s * s' at index 0 exceeded 3 steps"
+    assert enumerate_range(deep, "f", Budget(3, max_steps=7)) == {0, 1, 16}
+
+    where = model_from_spec('model "m"\nstates where s*s*s*s > 3\nobservable f(s) = s\n')
+    with pytest.raises(RangeEvaluationError) as err:
+        enumerate_range(where, "f", Budget(5, max_steps=3))
+    assert str(err.value) == "evaluating 'states where s * s * s * s > 3' at state 0 exceeded 3 steps"
+    assert enumerate_range(where, "f", Budget(4, max_steps=9)) == {2, 3}
+
+    renamed = apply_isomorphism(builtin("baryon"), forward="s*s*s*s", backward="s")
+    with pytest.raises(RangeEvaluationError) as err:
+        enumerate_range(renamed, "f", Budget(5, max_steps=3))
+    assert str(err.value) == "evaluating 'state renaming' at state 0 exceeded 3 steps"
 
 
 def test_check_maximally_faithful():
@@ -432,6 +455,60 @@ def test_replay_worldline_chain():
     report = replay_worldline_chain(range(5), Budget(64), seeds=range(40))
     assert report.values == {u: 5 * u for u in range(5)}
     assert report.clean
+
+
+def reference_chain_replay(u_values, budget, seeds):
+    """The chain replay with every stage measuring afresh: each stage's
+    operation runs the projectile's operation again for every seed."""
+    stages, parts, values = [], [], {}
+
+    def run_stage(name, model, symbol):
+        allowed = enumerate_range(model, symbol, budget)
+        results = [model.measuring_ops[symbol].program(seed) for seed in seeds]
+        failures = sum(isinstance(r, Failure) for r in results)
+        misses = tuple(r for r in results if not isinstance(r, Failure) and r not in allowed)
+        witnessed = len(results) - failures - len(misses)
+        stages.append(ChainStageReport(name, len(results), failures, witnessed, misses))
+
+    for u in u_values:
+        for builtin_name, stage, symbol in (("chain_Bu", "restriction", "f"),
+                                            ("chain_Cu", "derivation", f"g{u}"),
+                                            ("chain_Du", "reduct", f"g{u}"),
+                                            ("chain_Eu", "isomorph", f"g{u}")):
+            model = builtin(builtin_name, u=u, budget=budget)
+            run_stage(f"{stage} u={u}", model, symbol)
+        parts.append(model)
+    merged = merge_expansions(parts)
+    for u in u_values:
+        run_stage(f"merge u={u}", merged, f"g{u}")
+        (values[u],) = enumerate_range(merged, f"g{u}", Budget(1, budget.max_steps))
+    return ChainReport(values, stages)
+
+
+def test_chain_replay_measures_each_seed_once(monkeypatch):
+    measured = []
+
+    def counting_cannon_op():
+        op = cannon_ranging_op()
+
+        def program(seed):
+            measured.append(seed)
+            return op.program(seed)
+
+        return MeasuringOperation(program, op.description)
+
+    monkeypatch.setitem(model_core._SIMOPS, "cannon", counting_cannon_op)
+    report = replay_worldline_chain(range(20), Budget(64), range(50))
+    assert sorted(measured) == list(range(50))
+    measured.clear()
+    assert report == reference_chain_replay(range(20), Budget(64), range(50))
+    assert len(measured) == 20 * 5 * 50
+    assert report.values == {u: 5 * u for u in range(20)} and report.clean
+    # Every flight time (0..31) has its slice here, so every seed's result
+    # is witnessed by exactly one restriction.
+    assert replay_worldline_chain(range(32), Budget(64), range(50, 60)) == reference_chain_replay(
+        range(32), Budget(64), range(50, 60)
+    )
 
 
 def test_builtin_chain_f():

@@ -29,9 +29,11 @@ from physmodels.spec_lang import (
     StepCounter,
     StepLimitExceeded,
     Var,
+    compile_expr,
     eval_closed_box,
     eval_int,
     eval_interval,
+    eval_pred,
     eval_real_point,
     format_int_expr,
     format_model,
@@ -221,6 +223,73 @@ def test_eval_matches_reference_on_fuzzed_exprs():
             continue
         assert eval_int(expr, {"s": s}, StepCounter(100_000)) == expected
         checked += 1
+
+
+def worst_case_steps(node):
+    """Most steps ``eval_int``/``eval_pred`` can charge for ``node``: a
+    conditional its test and its costlier branch, any other node all of
+    its children."""
+    if isinstance(node, (Lit, Var)):
+        return 1
+    if isinstance(node, Cond):
+        branch = max(worst_case_steps(node.then), worst_case_steps(node.other))
+        return 1 + worst_case_steps(node.test) + branch
+    if isinstance(node, PairOp):
+        children = node.args
+    elif isinstance(node, (Proj, Not)):
+        children = (node.arg,)
+    else:
+        children = (node.left, node.right)
+    return 1 + sum(worst_case_steps(c) for c in children)
+
+
+def outcome(evaluate, limit):
+    """(value with its type, or exception type and message; steps left)."""
+    steps = StepCounter(limit)
+    try:
+        value = evaluate(steps)
+        result = ("value", type(value), value)
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, steps.remaining
+
+
+def test_compiled_eval_equals_interpreter():
+    rng = random.Random(2718)
+    kinds = set()
+    cases = 0
+    for trial in range(600):
+        is_pred = trial % 3 == 0
+        node = random_pred(rng, 3) if is_pred else random_int_expr(rng, 3)
+        var = "s" if trial % 5 else ""  # closed: the variable is unbound
+        interpret = eval_pred if is_pred else eval_int
+        compiled = compile_expr(node, var)
+        for s in (rng.randrange(50), rng.randrange(10**6)):
+            env = {var: s} if var else {}
+            for limit in range(1, worst_case_steps(node) + 3):
+                got = outcome(lambda steps: compiled(s, steps), limit)
+                want = outcome(lambda steps: interpret(node, env, steps), limit)
+                assert got == want, (node, var, s, limit)
+                kinds.add(want[0][0])
+                cases += 1
+    assert kinds == {"value", StepLimitExceeded, EvalError} and cases > 10_000
+
+
+def test_compiled_maps_share_one_counter():
+    inner = model_core.ExprMap("s", parse_int_expr("if s mod 3 == 0 then J(s, s + 1) else s * s"))
+    outer = model_core.ExprMap(
+        "x", parse_int_expr("if K(x) > 4 or x == 1 then L(x) div (x - 1) else x + 7")
+    )
+    composed = model_core.ComposedMap(outer, inner)
+    most = worst_case_steps(inner.body) + worst_case_steps(outer.body)
+    for s in range(12):
+        for limit in range(1, most + 3):
+            got = outcome(lambda steps: composed.evaluate(s, steps), limit)
+            want = outcome(
+                lambda steps: eval_int(outer.body, {"x": eval_int(inner.body, {"s": s}, steps)}, steps),
+                limit,
+            )
+            assert got == want, (s, limit)
 
 
 def test_print_parse_roundtrip_fuzzed():
