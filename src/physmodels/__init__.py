@@ -25,7 +25,7 @@ from .encodings import (
     sing_code,
     unpair,
 )
-from .exact_arith import AlgebraicNumber, alg_compare, isolate_roots, refine_root, squarefree
+from .exact_arith import AlgebraicNumber, isolate_roots, squarefree
 from .model_core import (
     Budget,
     FAILED,
@@ -40,17 +40,14 @@ from .model_core import (
     merge_expansions,
     reduct,
     restrict,
-    simulate_measurement,
 )
 from .neighborhoods import (
     GraphRangeRequest,
     NestedOracle,
     OracleMachine,
     enumerate_graph_range,
-    machine_step,
     membership_probe,
     neighborhood_model,
-    subset_codes,
 )
 from .spec_lang import eval_int, eval_interval, parse_model, parse_real_fn
 from .stats import (
@@ -69,14 +66,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraicNumber", "Budget", "FAILED", "GraphRangeRequest", "Interval",
     "Model", "NestedOracle", "ObservationLog", "OracleMachine",
-    "alg_compare", "binom_pmf", "bounds", "build_piecewise", "builtin",
+    "binom_pmf", "bounds", "build_piecewise", "builtin",
     "check_faithful", "check_maximally_faithful", "compare_strength",
     "decay_restriction", "derive", "enumerate_graph_range", "enumerate_range",
     "eval_int", "eval_interval", "int_code", "int_decode", "interval_code",
-    "interval_decode", "interval_estimate", "isolate_roots", "machine_step",
+    "interval_decode", "interval_estimate", "isolate_roots",
     "max_alpha", "membership_probe", "merge_expansions", "neighborhood_model",
     "pair", "parse_model", "parse_real_fn", "rat_code", "rat_decode",
-    "rect_code", "rect_decode", "reduct", "refine_root", "reject", "restrict",
-    "seg_code", "seg_decode", "simulate_measurement", "sing_code",
-    "squarefree", "subset_codes", "tail_prob", "unpair",
+    "rect_code", "rect_decode", "reduct", "reject", "restrict",
+    "seg_code", "seg_decode", "sing_code",
+    "squarefree", "tail_prob", "unpair",
 ]

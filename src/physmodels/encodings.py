@@ -9,7 +9,10 @@ module provides the codecs that let richer values travel through that bottleneck
 * ``int_code`` -- signed integers, ``2i`` for ``i >= 0`` and ``-2i - 1`` otherwise.
 * ``rat_code`` -- rationals in lowest terms, via the signed product
   ``sgn(a) * prod(p_k ** int_code(a_k - b_k))`` over the prime factorizations
-  of numerator and denominator, followed by ``int_code``.
+  of numerator and denominator, followed by ``int_code``.  Numerator and
+  denominator share no prime, so for ``q = ±x/y`` the product is
+  ``±x**2 * y**2 / rad(y)`` (``rad(y)``: the product of y's distinct primes),
+  and only the denominator is factored.
 * ``interval_code`` -- open rational intervals ``(lo; hi)`` as
   ``pair(rat_code(lo), rat_code(hi))``.
 * ``rect_code`` -- open rational rectangles, a left-nested pairing of the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Sequence
 
 
@@ -109,13 +112,8 @@ def _factorize(n: int) -> dict[int, int]:
 def rat_code(q: Fraction) -> int:
     """Encode a rational number (``Fraction`` keeps it in lowest terms)."""
     q = Fraction(q)
-    if q == 0:
-        return int_code(0)
-    num_exp = _factorize(abs(q.numerator))
-    den_exp = _factorize(q.denominator)
-    inner = 1
-    for p in set(num_exp) | set(den_exp):
-        inner *= p ** int_code(num_exp.get(p, 0) - den_exp.get(p, 0))
+    y = q.denominator
+    inner = q.numerator**2 * (y * y // prod(_factorize(y)))
     return int_code(inner if q > 0 else -inner)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .encodings import Interval
 
@@ -273,10 +273,6 @@ class AlgebraicNumber:
             raise ValueError(f"{iv} does not isolate exactly one root")
         return cls(polynomial=p, isolating=iv)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.rational is not None
-
     def refine(self, eps: Fraction) -> Interval:
         """An interval of width <= eps containing the number.
 
@@ -355,14 +351,6 @@ def _halve(p: Coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return mid, hi
 
 
-def alg_compare(a: AlgebraicNumber, q: Fraction) -> int:
-    return a.compare(q)
-
-
-def refine_root(a: AlgebraicNumber, eps: Fraction) -> Interval:
-    return a.refine(eps)
-
-
 def _floor_div(q: Fraction) -> int:
     return q.numerator // q.denominator
 
@@ -374,22 +362,3 @@ def _decimal(units: int, digits: int) -> str:
         return f"{sign}{units}"
     whole, frac = divmod(units, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-def interpolate(fn: Callable[[Fraction], Fraction], nodes: Sequence[Fraction]) -> Coeffs:
-    """Lagrange interpolation through distinct rational nodes, exact.
-
-    Recovers a polynomial of degree < len(nodes) from point evaluations;
-    used as an independent oracle for symbolically built polynomials.
-    """
-    xs = [Fraction(x) for x in nodes]
-    acc: Coeffs = ()
-    for i, xi in enumerate(xs):
-        term = poly(1)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i != j:
-                term = poly_mul(term, poly(-xj, 1))
-                denom *= xi - xj
-        acc = poly_add(acc, poly_scale(term, fn(xi) / denom))
-    return acc

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib import resources
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import encodings, spec_lang
@@ -423,7 +424,9 @@ class ObservationLog:
                 sym, result = rec["observable"], rec["result"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"log line {lineno}: {exc}") from exc
-            if not isinstance(result, int) or result < 0:
+            if not isinstance(sym, str):
+                raise ValueError(f"log line {lineno}: observable must be a string")
+            if not isinstance(result, int) or isinstance(result, bool) or result < 0:
                 raise ValueError(f"log line {lineno}: result must be a nonnegative integer")
             records.append((sym, result))
         return cls(tuple(records))
@@ -554,12 +557,10 @@ def reduct(model: Model, symbols: Iterable[str]) -> Model:
         if sym not in known:
             raise UnknownSymbolError(sym)
     keep_set = set(keep)
-    return Model(
-        states=model.states,
+    return replace(
+        model,
         observables=tuple(o for o in model.observables if o.symbol in keep_set),
         measuring_ops={k: v for k, v in model.measuring_ops.items() if k in keep_set},
-        annotations=dict(model.annotations),
-        name=model.name,
     )
 
 
@@ -584,11 +585,11 @@ def restrict(model: Model, symbol: str, q: SemiDecidableSet, budget: Budget) -> 
     ops = dict(model.measuring_ops)
     if symbol in ops:
         ops[symbol] = _wrap_restriction_op(ops[symbol], q, budget.max_states)
-    return Model(
+    return replace(
+        model,
         states=new_states,
         observables=(new_obs,),
         measuring_ops=ops,
-        annotations=dict(model.annotations),
         name=f"{model.name}|restricted" if model.name else "",
     )
 
@@ -626,13 +627,7 @@ def derive(
     ops = dict(model.measuring_ops)
     if base in ops:
         ops[new_symbol] = _natural_derived_op(ops[base], h_map, op_steps)
-    return Model(
-        states=model.states,
-        observables=model.observables + (new_obs,),
-        measuring_ops=ops,
-        annotations=dict(model.annotations),
-        name=model.name,
-    )
+    return replace(model, observables=model.observables + (new_obs,), measuring_ops=ops)
 
 
 def _natural_derived_op(
@@ -679,13 +674,7 @@ def apply_isomorphism(
         Observable(o.symbol, ComposedMap(o.map, bwd), o.range_decider)
         for o in model.observables
     )
-    return Model(
-        states=new_states,
-        observables=observables,
-        measuring_ops=dict(model.measuring_ops),
-        annotations=dict(model.annotations),
-        name=model.name,
-    )
+    return replace(model, states=new_states, observables=observables)
 
 
 def merge_expansions(parts: Sequence[Model]) -> Model:
@@ -779,33 +768,6 @@ def compare_strength(
 
 
 # ---------------------------------------------------------------------------
-# Simulated measurement
-
-
-def simulate_measurement(op: MeasuringOperation, seed: int) -> int | Failure:
-    """Run a seeded measuring operation; failure is a value, not an error."""
-    return op.program(seed)
-
-
-def spot_check(model: Model, budget: Budget) -> None:
-    """Validate model invariants on the budgeted prefix.
-
-    Every enumerated state must evaluate under every observable; declared
-    range deciders must accept the produced values; a membership decider on
-    the state space must accept every enumerated state.
-    """
-    for state in model.states.enumerate(budget):
-        if model.states.membership(state) is False:
-            raise ValueError(f"enumerator produced non-member state {state}")
-        for obs in model.observables:
-            value = _apply_observable(obs, state, budget)
-            if obs.range_decider is not None and not obs.range_decider(value):
-                raise ValueError(
-                    f"range decider for {obs.symbol!r} rejects produced value {value}"
-                )
-
-
-# ---------------------------------------------------------------------------
 # Builtin models and simulated universes
 
 
@@ -866,29 +828,6 @@ def decay_counter_op(true_ratio_numerator: int, true_ratio_denominator: int,
     return MeasuringOperation(program, "count decays and tagged decays")
 
 
-BARYON_TEXT = """\
-model "baryon"
-states enumerate s
-observable f(s) = 2*s + 2
-range f where n mod 2 == 0 and n >= 2
-simop f = baryon
-"""
-
-CANNON_TEXT = """\
-model "cannon"
-states enumerate t
-observable f(t) = J(t, 5*t)
-range f where L(n) == 5 * K(n)
-simop f = cannon
-"""
-
-DECAY_TEXT = """\
-model "decay"
-states where L(s) <= K(s)
-observable f(s) = s
-range f where L(n) <= K(n)
-"""
-
 _SIMOPS: dict[str, Callable[[], MeasuringOperation]] = {
     "baryon": baryon_counter_op,
     "cannon": cannon_ranging_op,
@@ -923,6 +862,10 @@ def model_from_spec(spec: ModelSpec | str) -> Model:
     )
 
 
+def _canonical_spec(name: str) -> str:
+    return (resources.files(__package__) / "models" / f"{name}.spec").read_text(encoding="utf-8")
+
+
 def time_slice_set(u: int) -> SemiDecidableSet:
     """Results whose first pair component equals ``u``."""
     return SemiDecidableSet(
@@ -936,32 +879,26 @@ def builtin(name: str, **params) -> Model:
     Names: ``baryon``, ``cannon``, ``decay`` (keyword ``b`` for the
     annotation ratio), the worldline chain stages ``chain_Bu``/``chain_Cu``/
     ``chain_Du``/``chain_Eu`` (keyword ``u``), and ``chain_F`` (keyword
-    ``u_max``).
+    ``u_max``).  The first three are read from the packaged
+    ``models/<name>.spec`` files.
     """
-    if name == "baryon":
-        return model_from_spec(BARYON_TEXT)
-    if name == "cannon":
-        return model_from_spec(CANNON_TEXT)
+    if name in ("baryon", "cannon"):
+        return model_from_spec(_canonical_spec(name))
     if name == "decay":
         from fractions import Fraction
 
         from . import stats
 
-        model = model_from_spec(DECAY_TEXT)
         b = Fraction(params.get("b", Fraction(1, 2)))
         annotations = {
             "probability": lambda s, b=b: stats.binom_pmf(
                 encodings.first(s), b, encodings.second(s)
             )
         }
-        num, den = b.numerator, b.denominator
-        ops = {"f": decay_counter_op(num, den)}
-        return Model(
-            states=model.states,
-            observables=model.observables,
-            measuring_ops=ops,
+        return replace(
+            model_from_spec(_canonical_spec("decay")),
+            measuring_ops={"f": decay_counter_op(b.numerator, b.denominator)},
             annotations=annotations,
-            name=model.name,
         )
     if name in _CHAIN_BUILTINS:
         u = int(params["u"])
@@ -1041,7 +978,7 @@ def replay_worldline_chain(
     """
     cannon = builtin("cannon")
     op = cannon.measuring_ops["f"]
-    measured = {seed: simulate_measurement(op, seed) for seed in seeds}
+    measured = {seed: op.program(seed) for seed in seeds}
     cannon = replace(
         cannon, measuring_ops={"f": MeasuringOperation(measured.__getitem__, op.description)}
     )
@@ -1055,7 +992,7 @@ def replay_worldline_chain(
         measured = failures = witnessed = 0
         misses: list[int] = []
         for seed in seeds:
-            result = simulate_measurement(op, seed)
+            result = op.program(seed)
             measured += 1
             if isinstance(result, Failure):
                 failures += 1

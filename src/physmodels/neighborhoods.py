@@ -144,11 +144,6 @@ class ProductBasis:
 Basis = EuclideanBasis | SingletonBasis | SegmentBasis | ProductBasis
 
 
-def subset_codes(basis: Basis, c1: int, c2: int) -> bool:
-    """Exact decision of containment between decoded basis elements."""
-    return basis.subset(c1, c2)
-
-
 # ---------------------------------------------------------------------------
 # Nested oracles
 
@@ -181,13 +176,6 @@ class NestedOracle:
             raise ValueError("an oracle needs at least one code")
         codes = list(codes)
         return cls(lambda i: codes[min(i, len(codes) - 1)], basis)
-
-    @classmethod
-    def around_point(cls, coords: Sequence[Fraction]) -> "NestedOracle":
-        """Canonical dyadic-shrink oracle for a rational Euclidean point."""
-        coords = tuple(Fraction(c) for c in coords)
-        basis = EuclideanBasis(len(coords))
-        return cls(lambda i: rect_code(dyadic_shrink(coords, i)), basis, coords)
 
     @classmethod
     def around_graph_point(
@@ -278,13 +266,6 @@ class OracleMachine:
         self.instrumentation.steps_used += steps
         assert previous is not None
         return previous
-
-
-def machine_step(
-    machine: OracleMachine, oracle: NestedOracle, m: int, max_steps: int | None = None
-) -> int | None:
-    """Output code of the machine at oracle index ``m`` (None on step budget)."""
-    return machine.step(oracle, m, max_steps)
 
 
 # ---------------------------------------------------------------------------

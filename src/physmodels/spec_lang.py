@@ -188,12 +188,6 @@ class ModelSpec:
     ranges: tuple[tuple[str, str, Pred], ...] = ()
     simops: tuple[tuple[str, str], ...] = ()
 
-    def observable(self, symbol: str) -> tuple[str, IntExpr]:
-        for sym, var, body in self.observables:
-            if sym == symbol:
-                return var, body
-        raise KeyError(symbol)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -653,26 +647,6 @@ def format_pred(p: Pred, parent: str = "") -> str:
     raise TypeError(type(p))
 
 
-def format_real_expr(e: RealExpr, parent_prec: int = 0) -> str:
-    if isinstance(e, RLit):
-        text = str(e.value)
-        return f"({text})" if e.value < 0 and parent_prec >= 3 else text
-    if isinstance(e, RVar):
-        return e.name
-    if isinstance(e, RNeg):
-        return f"-{format_real_expr(e.arg, 3)}"
-    prec = _PRECEDENCE[e.op]
-    body = f"{format_real_expr(e.left, prec)} {e.op} {format_real_expr(e.right, prec + 1)}"
-    return f"({body})" if prec < parent_prec else body
-
-
-def format_real_fn(fn: RealFn) -> str:
-    outs = ", ".join(format_real_expr(o) for o in fn.outputs)
-    if len(fn.outputs) > 1:
-        outs = f"({outs})"
-    return f"map({', '.join(fn.params)}) = {outs}"
-
-
 def format_model(spec: ModelSpec) -> str:
     lines = [f'model "{spec.name}"']
     if spec.state_kind == "enumerate":
@@ -975,13 +949,6 @@ def eval_real_bounds(e: RealExpr, env: dict[str, Bounds]) -> Bounds:
             return _iv_sub(a, b)
         return _iv_mul(a, b)
     raise TypeError(type(e))
-
-
-def eval_real_point(e: RealExpr, env: dict[str, Fraction]) -> Fraction:
-    boxed = {k: (v, v) for k, v in env.items()}
-    lo, hi = eval_real_bounds(e, boxed)
-    assert lo == hi
-    return lo
 
 
 def widen_to_open(bounds: Bounds, index: int) -> Interval:

@@ -191,10 +191,10 @@ def _remove_root(p: Coeffs, x: Fraction) -> Coeffs:
 
 def _piece_candidates(
     piece: Coeffs, alpha: Fraction, lo: Fraction, hi: Fraction
-) -> "tuple[str, list[AlgebraicNumber], bool, bool] | None":
+) -> "tuple[list[AlgebraicNumber], bool, bool] | None":
     """Analyze one open piece of the consistency set.
 
-    Returns (kind, member_roots, touches_left, touches_right) where
+    Returns (member_roots, touches_left, touches_right) where
     ``member_roots`` are the roots of piece - alpha inside the piece (each a
     member of the set), and the touch flags say whether the set accumulates
     at the piece boundary (making the boundary a glb/lub candidate even when
@@ -204,11 +204,11 @@ def _piece_candidates(
     g = poly_sub(piece, (alpha,))
     if not g:
         # identically alpha: the whole open piece is in the set
-        return ("full", [], True, True)
+        return [], True, True
     sign = exact_arith.descartes_sign(g, lo, hi)
     if sign is not None:
         # no root inside: the piece is wholly in the set or wholly out of it
-        return ("mixed", [], True, True) if sign > 0 else None
+        return ([], True, True) if sign > 0 else None
     reduced = squarefree(g)
     for endpoint in (lo, hi):
         if poly_eval(reduced, endpoint) == 0:
@@ -224,7 +224,7 @@ def _piece_candidates(
     signs = [poly_eval(g, x) > 0 for x in samples]
     if not members and not any(signs):
         return None
-    return ("mixed", members, signs[0], signs[-1])
+    return members, signs[0], signs[-1]
 
 
 def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicNumber]:
@@ -256,7 +256,7 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
             glb = AlgebraicNumber.from_rational(pw.breakpoint(i))
             break
         if i < 2 * m and analysis(i) is not None:
-            _, members, touches_left, _ = analysis(i)
+            members, touches_left, _ = analysis(i)
             if touches_left:
                 glb = AlgebraicNumber.from_rational(pw.breakpoint(i))
             else:
@@ -269,7 +269,7 @@ def bounds(m: int, n: int, alpha: Fraction) -> tuple[AlgebraicNumber, AlgebraicN
             lub = AlgebraicNumber.from_rational(pw.breakpoint(i))
             break
         if i > 0 and analysis(i - 1) is not None:
-            _, members, _, touches_right = analysis(i - 1)
+            members, _, touches_right = analysis(i - 1)
             if touches_right:
                 lub = AlgebraicNumber.from_rational(pw.breakpoint(i))
             else:

@@ -18,7 +18,7 @@ from physmodels.encodings import (
     rect_decode,
     unpair,
 )
-from physmodels.exact_arith import alg_compare, poly, poly_eval
+from physmodels.exact_arith import poly, poly_eval
 from physmodels.model_core import (
     Budget,
     Failure,
@@ -28,7 +28,6 @@ from physmodels.model_core import (
     enumerate_range,
     replay_worldline_chain,
     restrict,
-    simulate_measurement,
     time_slice_set,
     SemiDecidableSet,
 )
@@ -119,7 +118,7 @@ def test_criterion_04_estimator_anchors():
             for alpha in (F(1, 4), F(1, 3), F(1, 2)):
                 glb, lub = bounds(m, n, alpha)
                 anchor = F(n, m)
-                assert alg_compare(glb, anchor) <= 0 <= alg_compare(lub, anchor)
+                assert glb.compare(anchor) <= 0 <= lub.compare(anchor)
                 checked += 1
     report(4, f"zero-trial and single-trial anchors; n/m inside all {checked} estimates")
 
@@ -134,10 +133,10 @@ def test_criterion_05_grid_oracle_agreement():
                 glb, lub = bounds(m, n, alpha)
                 grid_lo, grid_hi = bounds_grid_scan(m, n, alpha, grid=1024)
                 # the true endpoint lies within one grid cell of the scan
-                assert alg_compare(glb, grid_lo) <= 0
-                assert alg_compare(glb, grid_lo - cell) >= 0
-                assert alg_compare(lub, grid_hi) >= 0
-                assert alg_compare(lub, grid_hi + cell) <= 0
+                assert glb.compare(grid_lo) <= 0
+                assert glb.compare(grid_lo - cell) >= 0
+                assert lub.compare(grid_hi) >= 0
+                assert lub.compare(grid_hi + cell) <= 0
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -202,7 +201,7 @@ def test_criterion_08_faithfulness_property_suites():
         }
         for seed in range(100):
             for sym in ("f", "d"):
-                result = simulate_measurement(model.measuring_ops[sym], seed)
+                result = model.measuring_ops[sym].program(seed)
                 assert not isinstance(result, Failure)
                 trials += 1
                 if result not in ranges[sym]:
@@ -217,7 +216,7 @@ def test_criterion_08_faithfulness_property_suites():
     for sub in cases:
         allowed = enumerate_range(sub, "f", budget)
         for seed in range(100):
-            result = simulate_measurement(sub.measuring_ops["f"], seed)
+            result = sub.measuring_ops["f"].program(seed)
             trials += 1
             if not isinstance(result, Failure) and result not in allowed:
                 misses += 1
@@ -228,8 +227,8 @@ def test_criterion_08_faithfulness_property_suites():
         allowed = enumerate_range(model, "g", budget)
         base_allowed = enumerate_range(model, "f", budget)
         for seed in range(100):
-            base = simulate_measurement(model.measuring_ops["f"], seed)
-            derived = simulate_measurement(model.measuring_ops["g"], seed)
+            base = model.measuring_ops["f"].program(seed)
+            derived = model.measuring_ops["g"].program(seed)
             trials += 1
             if base in base_allowed and not isinstance(derived, Failure):
                 if derived not in allowed:

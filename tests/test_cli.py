@@ -1,10 +1,14 @@
 """CLI behavior: output contracts, exit codes, and byte-stable structured output."""
 
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import physmodels
 from physmodels.cli import console_main, format_poly, main
 from physmodels.encodings import pair, parse_rect, rect_decode, unpair
 from physmodels.exact_arith import poly
@@ -48,6 +52,21 @@ def test_encode_decode_roundtrips(capsys):
     assert out == "3 2\n"
 
 
+def test_encode_rat_large_prime_numerator_is_quick():
+    # A 25-digit prime numerator: the code is int_code(x**2) = 2*x**2, and
+    # computing it must not factor x.
+    x = 10**24 + 7
+    src = Path(physmodels.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "physmodels.cli", "encode", "rat", str(x)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{2 * x * x}\n", "")
+
+
 def test_decode_error_exit_code(capsys):
     code, _, err = run(capsys, "decode", "interval", str(pair(2, 0)))
     assert code == 1 and "error" in err
@@ -76,6 +95,20 @@ def test_model_check_exit_codes(tmp_path, capsys):
     assert json.loads(out) == {
         "symbol": "f", "result": 2, "verdict": "witnessed", "witness_state": 0,
     }
+
+
+def test_model_check_rejects_malformed_log_records(tmp_path, capsys):
+    for record, reason in (
+        ({"observable": "f", "result": True}, "result must be a nonnegative integer"),
+        ({"observable": ["f"], "result": 2}, "observable must be a string"),
+    ):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(json.dumps(record) + "\n")
+        for extra in ((), ("--jsonl",)):
+            code, out, err = run(
+                capsys, "model", "check", "--model", "baryon", "--log", str(log), *extra
+            )
+            assert (code, out, err) == (1, "", f"error: log line 1: {reason}\n")
 
 
 def test_model_check_names_first_unknown_symbol(tmp_path, capsys):
@@ -112,7 +145,7 @@ def test_model_range(capsys):
 
 
 def test_model_range_from_file(capsys):
-    path = Path(__file__).resolve().parents[1] / "docs" / "models" / "cannon.spec"
+    path = Path(physmodels.__file__).parent / "models" / "cannon.spec"
     code, out, _ = run(
         capsys, "model", "range", "--model", str(path), "--budget", "3"
     )

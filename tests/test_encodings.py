@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from physmodels.encodings import (
     DecodeError,
     Interval,
+    _factorize,
     dyadic_shrink,
     first,
     format_rect,
@@ -113,6 +114,29 @@ def test_rat_code_anchor_values():
     assert rat_code(Fraction(1, 2)) == 4
     assert rat_code(Fraction(-1, 2)) == 3
     assert rat_code(Fraction(1)) == 2
+
+
+def _rat_code_factoring_both(q):
+    """The code as the prime-exponent product, factoring both numerator and
+    denominator (the definition the closed form must agree with)."""
+    if q == 0:
+        return int_code(0)
+    num_exp = _factorize(abs(q.numerator))
+    den_exp = _factorize(q.denominator)
+    inner = 1
+    for p in set(num_exp) | set(den_exp):
+        inner *= p ** int_code(num_exp.get(p, 0) - den_exp.get(p, 0))
+    return int_code(inner if q > 0 else -inner)
+
+
+def test_rat_code_equals_prime_exponent_product():
+    rng = random.Random(3505)
+    qs = [Fraction(0), Fraction(1), Fraction(-1)]
+    qs += [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)) for _ in range(2000)]
+    qs += [Fraction(rng.randint(-(10**9), 10**9), 2**k) for k in range(41) for _ in range(12)]
+    qs += [Fraction(p, q) for p in range(-12, 13) for q in range(1, 13)]
+    for q in qs:
+        assert rat_code(q) == _rat_code_factoring_both(q), q
 
 
 def test_rat_code_roundtrip_random():

@@ -9,7 +9,6 @@ from physmodels.encodings import Interval
 from physmodels.exact_arith import (
     AlgebraicNumber,
     EndpointRootError,
-    alg_compare,
     count_roots,
     degree,
     derivative,
@@ -21,7 +20,6 @@ from physmodels.exact_arith import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    refine_root,
     squarefree,
     sturm_chain,
 )
@@ -121,17 +119,17 @@ def test_isolation_partitions_the_count():
 def test_refine_root_anchors():
     (iv,) = isolate_roots(CUBIC, Fraction(0), Fraction(1))
     root = AlgebraicNumber.from_root(CUBIC, iv)
-    got = refine_root(root, Fraction(1, 10**6))
+    got = root.refine(Fraction(1, 10**6))
     assert got.width <= Fraction(1, 10**6)
     # 0.873580 is inside the refined interval
     assert got.lo < Fraction(8735805, 10**7) < got.hi
 
     exact = AlgebraicNumber.from_rational(Fraction(1, 3))
-    got = refine_root(exact, Fraction(1, 100))
+    got = exact.refine(Fraction(1, 100))
     assert got.lo < Fraction(1, 3) < got.hi and got.width <= Fraction(1, 100)
 
     (iv,) = isolate_roots(X2_MINUS_2, Fraction(1), Fraction(2))
-    got = refine_root(AlgebraicNumber.from_root(X2_MINUS_2, iv), Fraction(1, 1000))
+    got = AlgebraicNumber.from_root(X2_MINUS_2, iv).refine(Fraction(1, 1000))
     sqrt2 = Fraction(14142135, 10**7)
     assert got.lo < sqrt2 + Fraction(1, 1000) and got.hi > sqrt2 - Fraction(1, 1000)
 
@@ -139,23 +137,23 @@ def test_refine_root_anchors():
 def test_refinement_is_nested():
     (iv,) = isolate_roots(CUBIC, Fraction(0), Fraction(1))
     root = AlgebraicNumber.from_root(CUBIC, iv)
-    outer = refine_root(root, Fraction(1, 10))
-    inner = refine_root(root, Fraction(1, 10**5))
+    outer = root.refine(Fraction(1, 10))
+    inner = root.refine(Fraction(1, 10**5))
     assert outer.contains_interval(inner)
     exact = AlgebraicNumber.from_rational(Fraction(2, 7))
-    assert refine_root(exact, Fraction(1, 4)).contains_interval(
-        refine_root(exact, Fraction(1, 64))
+    assert exact.refine(Fraction(1, 4)).contains_interval(
+        exact.refine(Fraction(1, 64))
     )
 
 
 def test_alg_compare_anchors():
     (iv,) = isolate_roots(X2_MINUS_2, Fraction(1), Fraction(2))
     sqrt2 = AlgebraicNumber.from_root(X2_MINUS_2, iv)
-    assert alg_compare(sqrt2, Fraction(3, 2)) == -1
-    assert alg_compare(AlgebraicNumber.from_rational(Fraction(1, 3)), Fraction(1, 3)) == 0
+    assert sqrt2.compare(Fraction(3, 2)) == -1
+    assert AlgebraicNumber.from_rational(Fraction(1, 3)).compare(Fraction(1, 3)) == 0
     (iv,) = isolate_roots(CUBIC, Fraction(0), Fraction(1))
     cbrt = AlgebraicNumber.from_root(CUBIC, iv)
-    assert alg_compare(cbrt, Fraction(5, 6)) == 1
+    assert cbrt.compare(Fraction(5, 6)) == 1
 
 
 def test_alg_compare_agrees_with_deep_refinement():
@@ -176,7 +174,7 @@ def test_alg_compare_agrees_with_deep_refinement():
                 expected = 1
             else:
                 expected = -1
-            got = alg_compare(root, q)
+            got = root.compare(q)
             if expected is not None:
                 assert got == expected
             checked += 1
@@ -187,7 +185,7 @@ def test_rational_root_hit_by_bisection_midpoint():
     p = integer_primitive(poly_mul(poly(Fraction(-1, 2), 1), poly(-5, 1)))
     (iv,) = isolate_roots(p, Fraction(0), Fraction(1))
     root = AlgebraicNumber.from_root(p, iv)
-    assert alg_compare(root, Fraction(1, 2)) == 0
+    assert root.compare(Fraction(1, 2)) == 0
     fine = root.refine(Fraction(1, 10**6))
     assert fine.lo < Fraction(1, 2) < fine.hi
 

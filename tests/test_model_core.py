@@ -37,12 +37,12 @@ from physmodels.model_core import (
     reduct,
     replay_worldline_chain,
     restrict,
-    simulate_measurement,
-    spot_check,
     time_slice_set,
     as_map,
 )
 from physmodels.spec_lang import EvalError, parse_int_expr
+
+from oracles import spot_check
 
 B100 = Budget(100)
 
@@ -158,6 +158,18 @@ def test_log_jsonl_roundtrip():
         ObservationLog.from_jsonl('{"observable": "f", "result": -1}\n')
     with pytest.raises(ValueError):
         ObservationLog.from_jsonl("not json\n")
+
+
+def test_log_jsonl_rejects_bool_results_and_non_string_observables():
+    for line, reason in (
+        ('{"observable": "f", "result": true}', "result must be a nonnegative integer"),
+        ('{"observable": "f", "result": false}', "result must be a nonnegative integer"),
+        ('{"observable": ["f"], "result": 2}', "observable must be a string"),
+        ('{"observable": 7, "result": 2}', "observable must be a string"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ObservationLog.from_jsonl('{"observable": "f", "result": 2}\n' + line + "\n")
+        assert str(exc.value) == f"log line 2: {reason}"
 
 
 def test_reduct_filters_and_preserves():
@@ -334,7 +346,7 @@ def test_merge_rejects_mismatched_spaces_and_collisions():
 
 def test_simulate_always_fail():
     op = always_fail_op()
-    assert all(isinstance(simulate_measurement(op, seed), Failure) for seed in range(20))
+    assert all(isinstance(op.program(seed), Failure) for seed in range(20))
 
 
 def test_simulated_cannon_results_are_exact():
@@ -342,7 +354,7 @@ def test_simulated_cannon_results_are_exact():
     from physmodels.encodings import unpair
 
     for seed in range(200):
-        result = simulate_measurement(op, seed)
+        result = op.program(seed)
         assert not isinstance(result, Failure)
         t, m = unpair(result)
         assert m == 5 * t
@@ -356,7 +368,7 @@ def test_restriction_wrapper_fails_outside_q():
 
     hits = misses = 0
     for seed in range(200):
-        result = simulate_measurement(op, seed)
+        result = op.program(seed)
         if isinstance(result, Failure):
             misses += 1
         else:
@@ -372,7 +384,7 @@ def test_derived_natural_op_failure_propagates():
         measuring_ops={"f": always_fail_op()},
     )
     expanded = derive(model, "f", "n div 2", "g")
-    assert isinstance(simulate_measurement(expanded.measuring_ops["g"], 1), Failure)
+    assert isinstance(expanded.measuring_ops["g"].program(1), Failure)
 
 
 def test_reduct_faithfulness_property():
@@ -380,7 +392,7 @@ def test_reduct_faithfulness_property():
     model = derive(builtin("cannon"), "f", parse_int_expr("L(x)"), "dist")
     small = reduct(model, ["dist"])
     for seed in range(100):
-        result = simulate_measurement(model.measuring_ops["dist"], seed)
+        result = model.measuring_ops["dist"].program(seed)
         assert not isinstance(result, Failure)
         log = ObservationLog.from_pairs([("dist", result)])
         (full_verdict,) = check_faithful(model, log, B100)
@@ -396,7 +408,7 @@ def test_restriction_faithfulness_property():
         op = sub.measuring_ops["f"]
         produced = 0
         for seed in range(100):
-            result = simulate_measurement(op, seed)
+            result = op.program(seed)
             if isinstance(result, Failure):
                 continue
             produced += 1
@@ -410,7 +422,7 @@ def test_restriction_faithfulness_property():
     sub = restrict(builtin("baryon"), "f", q, B100)
     op = sub.measuring_ops["f"]
     for seed in range(100):
-        result = simulate_measurement(op, seed)
+        result = op.program(seed)
         if isinstance(result, Failure):
             continue
         (verdict,) = check_faithful(sub, ObservationLog.from_pairs([("f", result)]), B100)
@@ -421,8 +433,8 @@ def test_derived_faithfulness_property():
     """Natural-operation logs are witnessed whenever base logs are."""
     model = derive(builtin("baryon"), "f", "n div 2 - 1", "halves")
     for seed in range(100):
-        base = simulate_measurement(model.measuring_ops["f"], seed)
-        derived = simulate_measurement(model.measuring_ops["halves"], seed)
+        base = model.measuring_ops["f"].program(seed)
+        derived = model.measuring_ops["halves"].program(seed)
         assert not isinstance(base, Failure) and not isinstance(derived, Failure)
         (bv,) = check_faithful(model, ObservationLog.from_pairs([("f", base)]), B100)
         (dv,) = check_faithful(model, ObservationLog.from_pairs([("halves", derived)]), B100)

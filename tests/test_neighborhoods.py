@@ -34,7 +34,6 @@ from physmodels.neighborhoods import (
     neighborhood_model,
     refined_values,
     GAS_CONSTANT,
-    subset_codes,
 )
 from physmodels.spec_lang import eval_closed_box, parse_real_fn, widen_to_open
 
@@ -48,24 +47,24 @@ def iv(text):
 
 def test_subset_codes_euclidean():
     basis = EuclideanBasis(1)
-    assert subset_codes(basis, rect_code([iv("(0;1)")]), rect_code([iv("(-1;2)")]))
-    assert not subset_codes(basis, rect_code([iv("(0;2)")]), rect_code([iv("(1;3)")]))
+    assert basis.subset(rect_code([iv("(0;1)")]), rect_code([iv("(-1;2)")]))
+    assert not basis.subset(rect_code([iv("(0;2)")]), rect_code([iv("(1;3)")]))
 
 
 def test_subset_codes_discrete():
     seg = SegmentBasis()
-    assert subset_codes(seg, seg_code(3, 1), seg_code(2, 4))  # {3,4} in {2..6}
-    assert not subset_codes(seg, seg_code(2, 4), seg_code(3, 1))
+    assert seg.subset(seg_code(3, 1), seg_code(2, 4))  # {3,4} in {2..6}
+    assert not seg.subset(seg_code(2, 4), seg_code(3, 1))
     sing = SingletonBasis()
-    assert subset_codes(sing, 7, 7) and not subset_codes(sing, 7, 8)
+    assert sing.subset(7, 7) and not sing.subset(7, 8)
 
 
 def test_subset_codes_product():
     basis = ProductBasis(EuclideanBasis(1), EuclideanBasis(1))
     small = pair(rect_code([iv("(0;1)")]), rect_code([iv("(0;1)")]))
     big = pair(rect_code([iv("(-1;2)")]), rect_code([iv("(-1;2)")]))
-    assert subset_codes(basis, small, big)
-    assert not subset_codes(basis, big, small)
+    assert basis.subset(small, big)
+    assert not basis.subset(big, small)
 
 
 def test_machine_step_identity_constant_oracle():
@@ -201,7 +200,7 @@ def test_graph_range_upward_closed():
     sample = pool[:: max(1, len(pool) // 50)]
     for code in sample:
         for other in sample:
-            if subset_codes(basis, code, other):
+            if basis.subset(code, other):
                 assert other in grange.codes
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
+from importlib import resources
 
 import pytest
 
@@ -34,11 +34,9 @@ from physmodels.spec_lang import (
     eval_int,
     eval_interval,
     eval_pred,
-    eval_real_point,
     format_int_expr,
     format_model,
     format_pred,
-    format_real_fn,
     int_free_vars,
     lint_model,
     parse_int_expr,
@@ -46,6 +44,8 @@ from physmodels.spec_lang import (
     parse_pred,
     parse_real_fn,
 )
+
+from oracles import eval_real_point, format_real_fn
 
 BARYON_TEXT = """\
 model "baryon"
@@ -302,9 +302,9 @@ def test_print_parse_roundtrip_fuzzed():
 
 
 def test_model_roundtrip_builtformat():
-    from physmodels.model_core import BARYON_TEXT as B, CANNON_TEXT as C, DECAY_TEXT as D
-
-    for text in (BARYON_TEXT, B, C, D):
+    models = resources.files("physmodels") / "models"
+    packaged = [(models / f"{name}.spec").read_text() for name in ("baryon", "cannon", "decay")]
+    for text in (BARYON_TEXT, *packaged):
         spec = parse_model(text)
         assert parse_model(format_model(spec)) == spec
     where = 'model "m"\nstates where s mod 3 == 0 or not s < 5\nobservable f(s) = s\n'
@@ -376,13 +376,6 @@ def test_spec_state_spaces_enumerate():
     assert list(model.states.enumerate(Budget(5, 100))) == [0, 1, 2, 3, 4]
     model = model_from_spec('model "m"\nstates where s mod 2 == 0\nobservable f(s) = s\n')
     assert list(model.states.enumerate(Budget(7, 100))) == [0, 2, 4, 6]
-
-
-def test_canonical_spec_files_match_builtin_texts():
-    docs = Path(__file__).resolve().parents[1] / "docs" / "models"
-    for name, text in (("baryon", model_core.BARYON_TEXT), ("cannon", model_core.CANNON_TEXT),
-                       ("decay", model_core.DECAY_TEXT)):
-        assert (docs / f"{name}.spec").read_text() == text
 
 
 def test_parse_real_fn():

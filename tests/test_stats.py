@@ -37,6 +37,8 @@ from physmodels.stats import (
     tail_prob,
 )
 
+from oracles import interpolate
+
 F = Fraction
 ALPHAS = (F(1, 20), F(1, 10), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(19, 20))
 
@@ -123,8 +125,6 @@ def test_piecewise_matches_direct_summation():
 def test_piecewise_matches_interpolation_oracle():
     """Each piece, rebuilt by exact Lagrange interpolation of the direct sum,
     equals the symbolically assembled polynomial coefficient for coefficient."""
-    from physmodels.exact_arith import interpolate
-
     for m, n in ((1, 0), (2, 1), (3, 2), (4, 4), (5, 2)):
         pw = build_piecewise(m, n)
         for i in range(2 * m):
