@@ -12,7 +12,10 @@ module provides the codecs that let richer values travel through that bottleneck
   of numerator and denominator, followed by ``int_code``.  Numerator and
   denominator share no prime, so for ``q = ±x/y`` the product is
   ``±x**2 * y**2 / rad(y)`` (``rad(y)``: the product of y's distinct primes),
-  and only the denominator is factored.
+  and only the denominator is factored.  Decoding factors the code itself.
+  Factoring is trial division by at most ``MAX_TRIAL_DIVISORS`` divisors and
+  raises ``DecodeError`` past them, so every rational code and denominator
+  is handled in bounded time.
 * ``interval_code`` -- open rational intervals ``(lo; hi)`` as
   ``pair(rat_code(lo), rat_code(hi))``.
 * ``rect_code`` -- open rational rectangles, a left-nested pairing of the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, prod
 from typing import Sequence
 
@@ -44,6 +48,13 @@ def pair(*parts: int) -> int:
     ``pair(a, b) == ((a + b)**2 + 3*a + b) // 2``; longer tuples fold from the
     left, and ``pair(a) == a``.
     """
+    if len(parts) == 2:
+        a, b = parts
+        # Two plain nonnegative ints, the common case, skip the general
+        # check; bools, int subclasses and the rest go through it below.
+        if type(a) is int and type(b) is int and a >= 0 and b >= 0:
+            s = a + b
+            return (s * s + 3 * a + b) // 2
     if not parts:
         raise ValueError("pair() needs at least one component")
     for p in parts:
@@ -57,7 +68,8 @@ def pair(*parts: int) -> int:
 
 def unpair(n: int) -> tuple[int, int]:
     """Invert ``pair`` on two components."""
-    _check_nonneg(n)
+    if type(n) is not int or n < 0:
+        _check_nonneg(n)
     t = (isqrt(8 * n + 1) - 1) // 2
     a = n - t * (t + 1) // 2
     return a, t - a
@@ -95,15 +107,29 @@ def int_decode(n: int) -> int:
     return n // 2 if n % 2 == 0 else -(n + 1) // 2
 
 
+MAX_TRIAL_DIVISORS = 5_000_000
+"""Most trial divisors ``_factorize`` tries: 2 and the odd numbers below
+``2 * MAX_TRIAL_DIVISORS``.  It bounds the time any rational code takes to
+decode, and the time any denominator takes to encode."""
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs are desk scale."""
+    """Prime factorization by trial division with at most
+    ``MAX_TRIAL_DIVISORS`` divisors; past them it raises ``DecodeError``."""
     fs: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in chain((2,), range(3, 2 * MAX_TRIAL_DIVISORS, 2)):
+        if d * d > n:
+            break
         while n % d == 0:
             fs[d] = fs.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
+    else:
+        # Every divisor was tried; a rest with no factor up to the next
+        # candidate is 1 or a prime, anything larger may still be composite.
+        if (d + 2) ** 2 <= n:
+            raise DecodeError(
+                f"factoring needs more than {MAX_TRIAL_DIVISORS} trial divisors"
+            )
     if n > 1:
         fs[n] = fs.get(n, 0) + 1
     return fs

@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import encodings, spec_lang
@@ -129,6 +130,12 @@ class ExprMap:
 
     def evaluate(self, state: int, steps: StepCounter) -> int:
         return self._compiled(state, steps)
+
+    def image(self, states: Sequence[int], limit: int) -> list[int] | None:
+        """``[evaluate(s, StepCounter(limit)) for s in states]``, or ``None``
+        when ``limit`` is below the body's worst-case cost or a state raises;
+        the caller then evaluates state by state."""
+        return self._compiled.image(states, limit)
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,30 @@ class SemiDecidableSet:
 
 # ---------------------------------------------------------------------------
 # State spaces
+#
+# ``enumerate`` is the one entry point of a state space.  Spaces given by an
+# expression compute their whole prefix through the compiled bulk form
+# (``spec_lang.compile_expr``), which gives the same states as fresh
+# per-index counters; when it returns ``None`` they take their per-index loop,
+# the only path that raises or defers, so every error, message and deferral is
+# the per-index loop's.
+
+
+def _prefix(states: Iterator[int]) -> tuple[list[int], Exception | None]:
+    """The states an enumeration yields, and the exception that ended it early."""
+    prefix: list[int] = []
+    try:
+        prefix.extend(states)
+    except Exception as exc:
+        return prefix, exc
+    return prefix, None
+
+
+def _replay(states: Iterable[int], failure: Exception | None) -> Iterator[int]:
+    """Yield ``states``, then raise what ended their enumeration, if anything."""
+    yield from states
+    if failure is not None:
+        raise failure
 
 
 @dataclass(frozen=True)
@@ -251,8 +282,7 @@ class FiniteStates:
             raise ValueError("state space must be nonempty")
 
     def enumerate(self, budget: Budget) -> Iterator[int]:
-        for i in range(min(budget.max_states, len(self.states))):
-            yield self.states[i]
+        return iter(self.states[: budget.max_states])
 
     def membership(self, n: int) -> bool | None:
         return n in self.states
@@ -270,6 +300,10 @@ class EnumeratedStates:
         return compile_expr(self.expr, self.var)
 
     def enumerate(self, budget: Budget) -> Iterator[int]:
+        states = self._compiled.image(range(budget.max_states), budget.max_steps)
+        return iter(states) if states is not None else self._each(budget)
+
+    def _each(self, budget: Budget) -> Iterator[int]:
         run, limit = self._compiled, budget.max_steps
         for i in range(budget.max_states):
             try:
@@ -295,6 +329,11 @@ class FilteredStates:
         return compile_expr(self.pred, self.var)
 
     def enumerate(self, budget: Budget) -> Iterator[int]:
+        indices = range(budget.max_states)
+        members = self._compiled.image(indices, budget.max_steps)
+        return compress(indices, members) if members is not None else self._each(budget)
+
+    def _each(self, budget: Budget) -> Iterator[int]:
         test, limit = self._compiled, budget.max_steps
         for i in range(budget.max_states):
             try:
@@ -336,6 +375,10 @@ class RestrictedStates:
     States whose verification is still open at the current effort are
     deferred, not dropped: they are revisited whenever the budget grows,
     so in the limit exactly the states with values in the set appear.
+
+    With an :class:`ExprMap` value map the parent's prefix is valued in bulk
+    and verified state by state as it is consumed; ``q`` sees the same
+    ``verify`` calls in the same order as on the per-state path.
     """
 
     parent: "StateSpace"
@@ -343,7 +386,19 @@ class RestrictedStates:
     q: SemiDecidableSet
 
     def enumerate(self, budget: Budget) -> Iterator[int]:
-        for s in self.parent.enumerate(budget):
+        states = self.parent.enumerate(budget)
+        if isinstance(self.value_map, ExprMap):
+            prefix, failure = _prefix(states)
+            values = self.value_map.image(prefix, budget.max_steps)
+            if values is not None:
+                effort = max(budget.max_states, 1)
+                verified = (s for s, v in zip(prefix, values) if self.q.verify(v, effort) is True)
+                return _replay(verified, failure)
+            states = _replay(prefix, failure)
+        return self._each(states, budget)
+
+    def _each(self, states: Iterator[int], budget: Budget) -> Iterator[int]:
+        for s in states:
             try:
                 value = self.value_map.evaluate(s, StepCounter(budget.max_steps))
             except StepLimitExceeded:
@@ -411,7 +466,10 @@ class ObservationLog:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "ObservationLog":
-        return cls(tuple((sym, int(result)) for sym, result in pairs))
+        return cls(tuple(
+            _checked_record(sym, result, f"record {i}")
+            for i, (sym, result) in enumerate(pairs, start=1)
+        ))
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ObservationLog":
@@ -424,11 +482,7 @@ class ObservationLog:
                 sym, result = rec["observable"], rec["result"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"log line {lineno}: {exc}") from exc
-            if not isinstance(sym, str):
-                raise ValueError(f"log line {lineno}: observable must be a string")
-            if not isinstance(result, int) or isinstance(result, bool) or result < 0:
-                raise ValueError(f"log line {lineno}: result must be a nonnegative integer")
-            records.append((sym, result))
+            records.append(_checked_record(sym, result, f"log line {lineno}"))
         return cls(tuple(records))
 
     def to_jsonl(self) -> str:
@@ -445,16 +499,45 @@ class ObservationLog:
         return [r for s, r in self.records if s == symbol]
 
 
+def _checked_record(sym: object, result: object, where: str) -> tuple[str, int]:
+    """``(sym, result)`` when ``sym`` is a string and ``result`` a nonnegative
+    int (not a bool); otherwise a ``ValueError`` that starts with ``where``."""
+    if not isinstance(sym, str):
+        raise ValueError(f"{where}: observable must be a string")
+    if not isinstance(result, int) or isinstance(result, bool) or result < 0:
+        raise ValueError(f"{where}: result must be a nonnegative integer")
+    return sym, result
+
+
 # ---------------------------------------------------------------------------
 # Range enumeration and faithfulness
 
 
 def range_table(model: Model, symbol: str, budget: Budget) -> dict[int, int]:
     """Each observable value over the first ``budget.max_states`` enumerated
-    states, mapped to the first state that produced it."""
+    states, mapped to the first state that produced it.
+
+    An :class:`ExprMap` observable is mapped over the whole enumerated prefix
+    at once.  Otherwise, and whenever the bulk form returns ``None`` or the
+    enumeration ended in an error, the observable is evaluated state by state
+    over the same prefix, so the error raised is the one the interleaved loop
+    (state, value, next state) meets first.  With an ``ExprMap`` observable
+    the enumeration runs to its end before the observable does, so when the
+    observable fails, ``SemiDecidableSet.verify`` may have been called, in
+    the same order, on states past the failing one.
+    """
     obs = model.observable(symbol)
+    states = model.states.enumerate(budget)
     table: dict[int, int] = {}
-    for state in model.states.enumerate(budget):
+    if isinstance(obs.map, ExprMap):
+        prefix, failure = _prefix(states)
+        values = obs.map.image(prefix, budget.max_steps)
+        if values is not None and failure is None:
+            for value, state in zip(values, prefix):
+                table.setdefault(value, state)
+            return table
+        states = _replay(prefix, failure)
+    for state in states:
         table.setdefault(_apply_observable(obs, state, budget), state)
     return table
 
@@ -971,10 +1054,13 @@ def replay_worldline_chain(
 
     The projectile's measuring operation runs once per seed, up front; the
     chain is built from a copy of the projectile model whose operation reads
-    those results.  Every stage still runs its own operation on every seed,
-    so each stage's wrapping (the restriction check, the derived ``L(x)``,
-    the pass-through of reduct, isomorph and merge) acts on the same
-    measurements as if each stage measured afresh.
+    those results.  The derivation, reduct, isomorph and merge stages of one
+    slice hold the same operation object (reduct, isomorph and merge copy the
+    entry), so each distinct operation runs once per seed and its results go
+    to every stage that holds it.  Each stage's wrapping (the restriction
+    check, the derived ``L(x)``) thus acts on the same measurements as if
+    each stage measured afresh, and each stage checks every result against
+    its own witness set.
     """
     cannon = builtin("cannon")
     op = cannon.measuring_ops["f"]
@@ -985,14 +1071,16 @@ def replay_worldline_chain(
     stages: list[ChainStageReport] = []
     parts: list[Model] = []
     values: dict[int, int] = {}
+    results: dict[MeasuringOperation, list[int | Failure]] = {}
 
     def run_stage(stage_name: str, model: Model, symbol: str) -> None:
         op = model.measuring_ops[symbol]
         allowed = enumerate_range(model, symbol, budget)  # witness set, once
+        if op not in results:
+            results[op] = [op.program(seed) for seed in seeds]
         measured = failures = witnessed = 0
         misses: list[int] = []
-        for seed in seeds:
-            result = op.program(seed)
+        for result in results[op]:
             measured += 1
             if isinstance(result, Failure):
                 failures += 1

@@ -31,6 +31,13 @@ the counter it evaluates without per-node ticks and subtracts the steps the
 interpreter would have ticked; otherwise, and whenever the closures raise, it
 falls back to the interpreter, so every step-limit or evaluation error is
 raised at the same node with the same message and the same steps left.
+
+The compiled callable also carries a bulk form, ``image(values, limit)``: the
+list ``[run(v, StepCounter(limit)) for v in values]``, the same values as
+fresh per-element counters, computed by the closures in one pass.  When
+``limit`` is below the node's worst-case cost, or when any element raises, it
+returns ``None`` instead, and the caller takes its per-element path, which
+raises or defers exactly as the interpreter does.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import encodings
 from .encodings import Interval, Rect
@@ -784,6 +791,10 @@ def compile_expr(node: IntExpr | Pred, var: str) -> Callable[[int, StepCounter],
     would have ticked.  With less, or when the closures raise (a zero divisor,
     an unbound variable), it replays the interpreter from the same count,
     which raises at the same node with the same message.
+
+    The callable's ``image(values, limit)`` is ``[run(v, StepCounter(limit))
+    for v in values]``, or ``None`` when ``limit`` is below the worst-case
+    cost or an element raises.
     """
     part = _compile(node, var)
     (fast, takes_steps), worst = _callable(part), part[2]
@@ -799,6 +810,21 @@ def compile_expr(node: IntExpr | Pred, var: str) -> Callable[[int, StepCounter],
                 steps.remaining = start
         return reference(node, {var: value} if var else {}, steps)
 
+    def image(values: Iterable[int], limit: int) -> list[int | bool] | None:
+        if limit < worst:
+            return None
+        try:
+            if takes_steps:
+                # Conditionals and connectives only give steps back to the
+                # counter and never read it, so one scratch counter serves
+                # every element.
+                scratch = StepCounter(limit)
+                return [fast(v, scratch) for v in values]
+            return [fast(v) for v in values]
+        except Exception:
+            return None
+
+    run.image = image  # type: ignore[attr-defined]
     return run
 
 

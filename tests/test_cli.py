@@ -10,7 +10,7 @@ from pathlib import Path
 
 import physmodels
 from physmodels.cli import console_main, format_poly, main
-from physmodels.encodings import pair, parse_rect, rect_decode, unpair
+from physmodels.encodings import MAX_TRIAL_DIVISORS, pair, parse_rect, rect_decode, unpair
 from physmodels.exact_arith import poly
 from physmodels.model_core import Budget
 from physmodels.neighborhoods import GraphRangeRequest, enumerate_graph_range
@@ -65,6 +65,21 @@ def test_encode_rat_large_prime_numerator_is_quick():
     )
     assert time.perf_counter() - start < 10
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{2 * x * x}\n", "")
+
+
+def test_decode_rat_past_the_factoring_cap_fails_quickly():
+    # 10**24 + 7 is prime: deciding that by trial division needs about
+    # 5 * 10**11 divisors, far past the cap, so decoding stops with an error.
+    src = Path(physmodels.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "physmodels.cli", "decode", "rat", "2000000000000000000000014"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: factoring needs more than {MAX_TRIAL_DIVISORS} trial divisors\n"
 
 
 def test_decode_error_exit_code(capsys):

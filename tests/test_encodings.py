@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from physmodels import encodings
 from physmodels.encodings import (
     DecodeError,
     Interval,
@@ -82,6 +84,31 @@ def test_pair_rejects_negative():
         pair(-1, 0)
 
 
+def test_pair_fast_path_equals_closed_form():
+    rng = random.Random(600)
+    for _ in range(2000):
+        a, b = (rng.randrange(10 ** rng.randrange(1, 601)) for _ in range(2))
+        n = pair(a, b)
+        assert n == ((a + b) ** 2 + 3 * a + b) // 2
+        t = (isqrt(8 * n + 1) - 1) // 2
+        assert unpair(n) == (n - t * (t + 1) // 2, t - (n - t * (t + 1) // 2)) == (a, b)
+        assert (first(n), second(n)) == (a, b)
+
+
+def test_pair_and_unpair_outside_plain_ints():
+    class Count(int):
+        pass
+
+    assert pair(Count(3), 2) == pair(3, Count(2)) == pair(Count(3), Count(2)) == 18
+    assert unpair(Count(18)) == (3, 2) and type(pair(Count(3), 2)) is int
+    for args in ((True, 1), (1, False), (-1, 0), (0, -1), (2.0, 1), (1, 2.5), ("1", 2)):
+        with pytest.raises(ValueError, match="expected a nonnegative integer, got"):
+            pair(*args)
+    for n in (True, False, -1, 18.0, "18"):
+        with pytest.raises(ValueError, match=f"expected a nonnegative integer, got {n!r}"):
+            unpair(n)
+
+
 def test_projections():
     assert first(18) == 3
     assert second(18) == 2
@@ -149,6 +176,20 @@ def test_rat_code_roundtrip_random():
 def test_rat_code_total_on_naturals():
     for n in range(500):
         assert rat_code(rat_decode(n)) == n
+
+
+def test_factorize_stops_at_the_trial_divisor_cap(monkeypatch):
+    # With 10 trial divisors (2, 3, 5, ..., 19) a rest below 21**2 with no
+    # factor up to 19 is prime; a larger one cannot be decided.
+    monkeypatch.setattr(encodings, "MAX_TRIAL_DIVISORS", 10)
+    assert _factorize(2 * 439) == {2: 1, 439: 1}
+    assert _factorize(19 * 19 * 3) == {3: 1, 19: 2}
+    for n in (443, 23 * 23, 2 * 29 * 31):
+        with pytest.raises(DecodeError, match="more than 10 trial divisors"):
+            _factorize(n)
+    with pytest.raises(DecodeError):
+        rat_decode(int_code(23 * 23))
+    assert rat_decode(rat_code(Fraction(-2, 439))) == Fraction(-2, 439)
 
 
 def test_interval_code_anchor_values():

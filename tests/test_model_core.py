@@ -1,5 +1,7 @@
 """Model algebra, faithfulness, and builtin-universe tests."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +13,20 @@ from physmodels.model_core import (
     Budget,
     ChainReport,
     ChainStageReport,
+    ComposedMap,
+    EnumeratedStates,
+    ExprMap,
     Failure,
+    FilteredStates,
     FiniteStates,
+    FnMap,
+    MappedStates,
     MeasuringOperation,
     Model,
     ObservationLog,
     Observable,
     RangeEvaluationError,
+    RestrictedStates,
     SemiDecidableSet,
     UNKNOWN,
     UnknownSymbolError,
@@ -40,7 +49,17 @@ from physmodels.model_core import (
     time_slice_set,
     as_map,
 )
-from physmodels.spec_lang import EvalError, parse_int_expr
+from physmodels.spec_lang import (
+    EvalError,
+    StepCounter,
+    StepLimitExceeded,
+    eval_int,
+    eval_pred,
+    format_int_expr,
+    format_pred,
+    parse_int_expr,
+    parse_pred,
+)
 
 from oracles import spot_check
 
@@ -135,6 +154,136 @@ def test_step_exhaustion_identifies_state():
     assert str(err.value) == "evaluating 'state renaming' at state 0 exceeded 3 steps"
 
 
+def reference_value(fmap, state, steps):
+    """A map's value by the interpreter."""
+    if isinstance(fmap, ExprMap):
+        return eval_int(fmap.body, {fmap.var: state} if fmap.var else {}, steps)
+    if isinstance(fmap, ComposedMap):
+        return reference_value(fmap.outer, reference_value(fmap.inner, state, steps), steps)
+    return fmap.evaluate(state, steps)
+
+
+def reference_states(space, budget):
+    """The per-state enumeration: each state is computed only when the
+    consumer asks for it."""
+    n, limit = budget.max_states, budget.max_steps
+    if isinstance(space, AllStates):
+        yield from range(n)
+    elif isinstance(space, FiniteStates):
+        yield from space.states[:n]
+    elif isinstance(space, EnumeratedStates):
+        for i in range(n):
+            try:
+                yield eval_int(space.expr, {space.var: i}, StepCounter(limit))
+            except StepLimitExceeded:
+                clause = f"states enumerate {format_int_expr(space.expr)}"
+                raise RangeEvaluationError(clause, i, limit, at="index") from None
+    elif isinstance(space, FilteredStates):
+        for i in range(n):
+            try:
+                member = eval_pred(space.pred, {space.var: i}, StepCounter(limit))
+            except StepLimitExceeded:
+                raise RangeEvaluationError(f"states where {format_pred(space.pred)}", i, limit) from None
+            if member:
+                yield i
+    elif isinstance(space, MappedStates):
+        for s in reference_states(space.parent, budget):
+            try:
+                yield reference_value(space.forward, s, StepCounter(limit))
+            except StepLimitExceeded:
+                raise RangeEvaluationError("state renaming", s, limit) from None
+    else:
+        for s in reference_states(space.parent, budget):
+            try:
+                value = reference_value(space.value_map, s, StepCounter(limit))
+            except StepLimitExceeded:
+                continue
+            if space.q.verify(value, max(n, 1)) is True:
+                yield s
+
+
+def reference_range_table(model, symbol, budget):
+    """The range table by the interleaved loop: state, value, next state."""
+    obs = model.observable(symbol)
+    table = {}
+    for state in reference_states(model.states, budget):
+        try:
+            value = reference_value(obs.map, state, StepCounter(budget.max_steps))
+        except StepLimitExceeded:
+            raise RangeEvaluationError(symbol, state, budget.max_steps) from None
+        table.setdefault(value, state)
+    return table
+
+
+def table_outcome(make_table):
+    """The table's items in order, or the exception's type and message."""
+    try:
+        return list(make_table().items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_range_table_equals_interleaved_loop():
+    def expr_map(text):
+        return ExprMap("s", parse_int_expr(text))
+
+    def pred_states(text):
+        return FilteredStates("s", parse_pred(text))
+
+    calls = []
+    logged = lambda n: calls.append(n) or n % 3 != 1  # noqa: E731
+    base = {
+        "all": AllStates,
+        "finite": lambda: FiniteStates((9, 4, 4, 0, 7, 12, 3)),
+        "enumerate": lambda: EnumeratedStates("s", parse_int_expr(
+            "if s mod 3 == 0 or s > 9 then s * s else J(s, 2)")),
+        "where": lambda: pred_states("s mod 4 != 1 and (s < 6 or s mod 3 == 0)"),
+        # zero divisors at index 5 and at state 7
+        "enumerate div": lambda: EnumeratedStates("s", parse_int_expr("10 div (5 - s)")),
+        "where div": lambda: pred_states("12 div (7 - s) > 1"),
+    }
+    spaces = dict(base)
+    for name in ("all", "enumerate", "where div"):
+        parent = base[name]
+        spaces[f"{name} | decider"] = lambda p=parent: RestrictedStates(
+            p(), expr_map("if s > 3 and s mod 2 == 1 then s div 2 else s + 1"),
+            SemiDecidableSet(decide=logged))
+        spaces[f"{name} | enumerator"] = lambda p=parent: RestrictedStates(
+            p(), expr_map("s * s"), SemiDecidableSet(enumerator=lambda i: 2 * i))
+        spaces[f"{name} | fn"] = lambda p=parent: RestrictedStates(
+            p(), FnMap(lambda s: s + 1), SemiDecidableSet(decide=logged))
+        spaces[f"{name} mapped"] = lambda p=parent: MappedStates(p(), expr_map("s * 3 + 1"))
+    maps = {
+        "cond": expr_map("if s > 4 and s mod 2 == 0 or s == 1 then K(s) + 3 else s mod 5"),
+        "div at 6": expr_map("10 div (6 - s)"),
+        "div at 12": expr_map("100 div (12 - s)"),
+        "closed": ExprMap("", parse_int_expr("J(2, 3)")),
+        "fn": FnMap(lambda s: s % 7),
+        "composed": ComposedMap(expr_map("s div 2"), expr_map("s * s + 1")),
+    }
+    kinds = set()
+    for space_name, make_space in spaces.items():
+        for map_name, fmap in maps.items():
+            for budget in [Budget(n, steps) for n in (0, 1, 4, 9, 30)
+                           for steps in (*range(1, 14), 10_000)]:
+                model = Model(make_space(), (Observable("f", fmap),))
+                calls.clear()
+                got = table_outcome(lambda: range_table(model, "f", budget))
+                got_calls = calls[:]
+                model = Model(make_space(), (Observable("f", fmap),))
+                calls.clear()
+                want = table_outcome(lambda: reference_range_table(model, "f", budget))
+                assert got == want, (space_name, map_name, budget)
+                # The same verify calls in the same order; on an error the
+                # states may have been enumerated past the failing one.
+                if isinstance(want, list):
+                    assert got_calls == calls, (space_name, map_name, budget)
+                else:
+                    assert got_calls[: len(calls)] == calls, (space_name, map_name, budget)
+                kinds.add(want[0] if isinstance(want, tuple) else "table")
+    assert kinds == {"table", RangeEvaluationError, EvalError}
+
+
 def test_check_maximally_faithful():
     model = builtin("baryon")
     log = ObservationLog.from_pairs([("f", 2 * s + 2) for s in range(6)])
@@ -170,6 +319,20 @@ def test_log_jsonl_rejects_bool_results_and_non_string_observables():
         with pytest.raises(ValueError) as exc:
             ObservationLog.from_jsonl('{"observable": "f", "result": 2}\n' + line + "\n")
         assert str(exc.value) == f"log line 2: {reason}"
+
+
+def test_log_from_pairs_rejects_what_jsonl_rejects():
+    for pairs, reason in (
+        ([("f", 2), ("f", -1)], "record 2: result must be a nonnegative integer"),
+        ([("f", True)], "record 1: result must be a nonnegative integer"),
+        ([("f", 2.7)], "record 1: result must be a nonnegative integer"),
+        ([("f", "2")], "record 1: result must be a nonnegative integer"),
+        ([(7, 2)], "record 1: observable must be a string"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            ObservationLog.from_pairs(pairs)
+        assert str(exc.value) == reason
+    assert ObservationLog.from_pairs([("f", 2), ("g", 10**30)]).records == (("f", 2), ("g", 10**30))
 
 
 def test_reduct_filters_and_preserves():
@@ -509,9 +672,31 @@ def test_chain_replay_measures_each_seed_once(monkeypatch):
 
         return MeasuringOperation(program, op.description)
 
+    # Count the operation calls the replay makes itself: each stage model's
+    # operations are wrapped, one wrapper per distinct operation object.
+    top_level = []
+    chain_stages = model_core._chain_stages
+
+    def counted_stages(cannon, u, budget):
+        wrappers = {}
+
+        def counted(op):
+            if op not in wrappers:
+                wrappers[op] = MeasuringOperation(
+                    lambda seed: top_level.append(seed) or op.program(seed), op.description)
+            return wrappers[op]
+
+        return [(name, replace(model, measuring_ops={k: counted(v) for k, v in model.measuring_ops.items()}), sym)
+                for name, model, sym in chain_stages(cannon, u, budget)]
+
     monkeypatch.setitem(model_core._SIMOPS, "cannon", counting_cannon_op)
+    monkeypatch.setattr(model_core, "_chain_stages", counted_stages)
     report = replay_worldline_chain(range(20), Budget(64), range(50))
     assert sorted(measured) == list(range(50))
+    # one run per seed of the restriction's and of the derivation's operation;
+    # reduct, isomorph and merge hold the derivation's
+    assert len(top_level) == 2 * 20 * 50
+    monkeypatch.setattr(model_core, "_chain_stages", chain_stages)
     measured.clear()
     assert report == reference_chain_replay(range(20), Budget(64), range(50))
     assert len(measured) == 20 * 5 * 50

@@ -275,6 +275,41 @@ def test_compiled_eval_equals_interpreter():
     assert kinds == {"value", StepLimitExceeded, EvalError} and cases > 10_000
 
 
+def reference_image(run, node, values, limit):
+    """The bulk contract element by element: fresh counters, or None when the
+    limit is below the worst-case cost or any element raises."""
+    if limit < worst_case_steps(node):
+        return None
+    try:
+        return [(type(v), v) for v in (run(x, StepCounter(limit)) for x in values)]
+    except EvalError:
+        return None
+
+
+def test_compiled_image_equals_per_element_runs():
+    rng = random.Random(1618)
+    kinds = set()
+    for trial in range(600):
+        is_pred = trial % 3 == 0
+        node = random_pred(rng, 3) if is_pred else random_int_expr(rng, 3)
+        var = "s" if trial % 5 else ""
+        compiled = compile_expr(node, var)
+        values = [rng.randrange(12) for _ in range(rng.randrange(8))] + [rng.randrange(10**6)]
+        worst = worst_case_steps(node)
+        for limit in range(1, worst + 3):
+            got = compiled.image(values, limit)
+            got = None if got is None else [(type(v), v) for v in got]
+            want = reference_image(compiled, node, values, limit)
+            assert got == want, (node, var, values, limit)
+            kinds.add("list" if want is not None else "short" if limit < worst else "raises")
+    assert kinds == {"list", "short", "raises"}
+    # A zero divisor at a middle element, and the prefix before it.
+    middle = compile_expr(parse_int_expr("10 div (3 - s) + s"), "s")
+    assert middle.image(range(3), 100) == [3, 6, 12]
+    assert middle.image(range(6), 100) is None
+    assert middle.image([], 6) is None and middle.image([], 7) == []
+
+
 def test_compiled_maps_share_one_counter():
     inner = model_core.ExprMap("s", parse_int_expr("if s mod 3 == 0 then J(s, s + 1) else s * s"))
     outer = model_core.ExprMap(
